@@ -34,6 +34,7 @@ from .errors import (
     InvalidShiftError,
     NotCoprimeError,
     NotNumericalSemigroupError,
+    RouteDisagreementError,
     UnsupportedDimensionError,
 )
 from .verify import CHECK_NAMES, Caps, SweepSpec, VerifyOutcome, run_check, run_checks, sweep
@@ -55,6 +56,7 @@ __all__ = [
     "InvariantReport",
     "NotCoprimeError",
     "NotNumericalSemigroupError",
+    "RouteDisagreementError",
     "SweepSpec",
     "UnsupportedDimensionError",
     "VerifyOutcome",

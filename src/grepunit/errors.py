@@ -56,3 +56,11 @@ class UnsupportedDimensionError(GrepunitError):
 
 class CapacityError(GrepunitError):
     """An enumeration, sieve or factorization exceeded its configured cap."""
+
+
+class RouteDisagreementError(GrepunitError, AssertionError):
+    """Two independent routes to the same value disagree.
+
+    Raised explicitly, so it survives `python -O`; an AssertionError too,
+    so callers that caught the assertions it replaces still catch it.
+    """

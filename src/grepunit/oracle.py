@@ -1,20 +1,23 @@
 """Brute-force numerical-semigroup engine used as ground truth.
 
-Everything here works from first definitions: membership by dynamic
-programming, Apéry sets by relaxation over residue classes, pseudo-
-Frobenius numbers by Apéry maximals cross-checked against the raw
-definition, length sets by exhaustive factorization.  Nothing in this
-module consults the closed formulas it is used to check.
+Everything here works from first definitions, on big-integer bitsets:
+membership by a shift-or closure over the generators, Frobenius number,
+genus and n(S) by bit length and popcount of that mask, Apéry sets by
+Böcker-Lipták round-robin over residue classes, pseudo-Frobenius numbers
+by the generator test on the Apéry set cross-checked against the raw
+definition on the membership mask, and factorization length sets from
+one table of length bitmasks per semigroup.  Nothing in this module
+consults the closed formulas it is used to check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .apery import AperyElement, AperyTable
-from .errors import CapacityError, NotNumericalSemigroupError
+from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 DEFAULT_SIEVE_CAP = 10**8
 DEFAULT_FACTOR_CAP = 10**4
@@ -48,6 +51,44 @@ class GenericSemigroup:
         return self.gens[0]
 
 
+def _closure(gens, bound: int) -> int:
+    """Bitmask whose bit x (0 <= x <= bound) is set iff x is a sum of gens.
+
+    Folding in generator g shifts by g, 2g, 4g, ...: after the shift by
+    2^k*g the set holds every sum with up to 2^(k+1) - 1 extra copies of g,
+    which reaches every multiple of g up to the bound.  Needs no gcd
+    hypothesis.
+    """
+    full = (1 << (bound + 1)) - 1
+    s = 1
+    for g in gens:
+        step = g
+        while step <= bound:
+            s |= (s << step) & full
+            step <<= 1
+    return s
+
+
+def _mask_of(values: list[int]) -> int:
+    """Bitmask with bit v set for each of the non-negative values."""
+    packed = bytearray((max(values) >> 3) + 1)
+    for v in values:
+        packed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    digits = format(mask, "b")
+    top = len(digits) - 1
+    out = []
+    i = digits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = digits.rfind("1", 0, i)
+    return out
+
+
 @dataclass(frozen=True)
 class MembershipSieve:
     """Exact membership table for 0..bound.
@@ -58,89 +99,69 @@ class MembershipSieve:
 
     gens: tuple[int, ...]
     bound: int
-    bits: bytes
+    # kept out of repr: a mask past 4300 decimal digits cannot be printed
+    mask: int = field(repr=False)  # bit x set iff x is a member
+    bits: bytes = field(repr=False)  # the mask, little-endian, for O(1) lookup
 
     def __contains__(self, x: int) -> bool:
         if x < 0:
             return False
         if x > self.bound:
             raise CapacityError(f"membership query {x} beyond sieve bound {self.bound}")
-        return bool(self.bits[x])
+        return bool(self.bits[x >> 3] >> (x & 7) & 1)
 
     def members(self) -> list[int]:
-        return [x for x in range(self.bound + 1) if self.bits[x]]
+        return _set_bits(self.mask)
 
     def gaps(self) -> list[int]:
-        return [x for x in range(self.bound + 1) if not self.bits[x]]
+        return _set_bits(~self.mask & ((1 << (self.bound + 1)) - 1))
 
 
 def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> MembershipSieve:
-    """Membership table: x is a member iff x == 0 or x - g is a member
-    for some generator g."""
+    """Membership table of 0..bound: the closure of {0} under adding generators."""
     if bound < max(sg.gens):
         raise ValueError(f"sieve bound {bound} below largest generator {max(sg.gens)}")
     if bound + 1 > cap:
         raise CapacityError(f"sieve bound {bound} exceeds capacity cap {cap}")
-    bits = bytearray(bound + 1)
-    bits[0] = 1
-    gens = sg.gens
-    for x in range(sg.multiplicity, bound + 1):
-        for g in gens:
-            if g > x:
-                break
-            if bits[x - g]:
-                bits[x] = 1
-                break
-    return MembershipSieve(sg.gens, bound, bytes(bits))
+    mask = _closure(sg.gens, bound)
+    return MembershipSieve(sg.gens, bound, mask, mask.to_bytes((bound >> 3) + 1, "little"))
 
 
 def apery_set(sg: GenericSemigroup, q: int) -> AperyTable:
-    """Least member of each residue class mod q, by round-robin relaxation.
+    """Least member of each residue class mod q, by round-robin.
 
-    Starting from 0, repeatedly relax the least-known value of every
-    residue class through every generator until nothing improves.  Values
-    per class only ever decrease and are bounded below, so this reaches
-    the true minima without any a-priori bound on the semigroup.
+    best[r] holds the least sum of the generators folded in so far that is
+    congruent to r.  Folding in g walks each cycle r -> r + g (mod q) once,
+    starting from the cycle's least known value, which adding g cannot
+    improve (Böcker and Lipták, Algorithmica 48, 2007).  q is a member, so
+    the least member of a class is its Apéry element.
     """
     if q <= 0:
         raise ValueError(f"need a positive element, got {q}")
-    if not _is_member_dp(sg.gens, q):
+    if not _closure(sg.gens, q) >> q & 1:
         raise ValueError(f"{q} is not an element of the semigroup {sg.gens}")
-    best: list[Optional[int]] = [None] * q
+    unreached = q * sum(sg.gens) + 1  # above every sum the walk below forms
+    best = [unreached] * q
     best[0] = 0
-    gens = sg.gens
-    changed = True
-    while changed:
-        changed = False
-        for r in range(q):
-            v = best[r]
-            if v is None:
+    for g in sg.gens:
+        d = math.gcd(g, q)
+        if d == q:
+            continue
+        for start in range(d):
+            cycle = best[start::d]
+            v = min(cycle)
+            if v == unreached:
                 continue
-            for g in gens:
-                w = v + g
-                r2 = w % q
-                cur = best[r2]
-                if cur is None or w < cur:
-                    best[r2] = w
-                    changed = True
-    assert all(v is not None for v in best)
-    return AperyTable.build(q, (AperyElement(v) for v in best))
-
-
-def _is_member_dp(gens, x: int) -> bool:
-    """Plain DP membership test up to x; needs no gcd hypothesis."""
-    if x < 0:
-        return False
-    bits = bytearray(x + 1)
-    bits[0] = 1
-    for y in range(min(gens), x + 1):
-        for g in gens:
-            if g > y:
-                break
-            if bits[y - g]:
-                bits[y] = 1
-                break
-    return bool(bits[x])
+            for _ in range(q // d - 1):
+                v += g
+                r = v % q
+                cur = best[r]
+                if cur < v:
+                    v = cur
+                else:
+                    best[r] = v
+    # a class never reached leaves the table short, which build rejects
+    return AperyTable.build(q, (AperyElement(v) for v in best if v != unreached))
 
 
 @dataclass(frozen=True)
@@ -162,32 +183,40 @@ def basic_invariants(
     multiplicity and from a raw gap sieve - and insist the routes agree.
 
     The sieve bound max(Apéry) + max generator covers every gap and every
-    Apéry element, so both computations are complete.
+    Apéry element, so both computations are complete.  That bound is at
+    least 2m - 1, so a multiplicity m with 2m over the cap is refused
+    before the Apéry set is built.
     """
     m = sg.multiplicity
+    if 2 * m > sieve_cap:
+        raise CapacityError(
+            f"multiplicity {m} needs a sieve bound of at least {2 * m - 1}, "
+            f"which exceeds capacity cap {sieve_cap}"
+        )
     ap = apery_set(sg, m)
-    ap_values = ap.values()
     bound = ap.max_value() + max(sg.gens)
     sv = sieve(sg, bound, cap=sieve_cap)
 
     f_apery = ap.max_value() - m
     num = 2 * ap.total() - m * (m - 1)
-    assert num % (2 * m) == 0, "Apéry sum inconsistent with an integer genus"
+    if num % (2 * m) != 0:
+        raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
     g_apery = num // (2 * m)
 
-    gaps = sv.gaps()
-    f_sieve = max(gaps) if gaps else -1
-    g_sieve = len(gaps)
-    assert f_apery == f_sieve, f"Frobenius routes disagree: {f_apery} vs {f_sieve}"
-    assert g_apery == g_sieve, f"genus routes disagree: {g_apery} vs {g_sieve}"
+    gap_mask = ~sv.mask & ((1 << (bound + 1)) - 1)
+    f_sieve = gap_mask.bit_length() - 1  # -1 when there is no gap
+    g_sieve = gap_mask.bit_count()
+    if f_apery != f_sieve:
+        raise RouteDisagreementError(f"Frobenius routes disagree: {f_apery} vs {f_sieve}")
+    if g_apery != g_sieve:
+        raise RouteDisagreementError(f"genus routes disagree: {g_apery} vs {g_sieve}")
 
-    # Apéry vs sieve agreement: member whose predecessor in its class is a gap.
-    for w in ap_values:
-        assert w in sv and (w - m) not in sv
+    # Apéry vs sieve agreement: the table holds exactly the members whose
+    # predecessor in their class is a gap.
+    if _mask_of(ap.values()) != sv.mask & ~(sv.mask << m):
+        raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
-    n_below = sum(1 for x in range(max(f_sieve, 0)) if x in sv)
-    if f_sieve < 0:  # the semigroup is all of N
-        n_below = 0
+    n_below = (sv.mask & ((1 << max(f_sieve, 0)) - 1)).bit_count()
     return SemigroupInvariants(sg, ap, sv, f_sieve, g_sieve, n_below)
 
 
@@ -201,42 +230,36 @@ def genus(sg: GenericSemigroup) -> int:
     return basic_invariants(sg).genus
 
 
-def count_below_frobenius(sg: GenericSemigroup) -> int:
-    """n(S): number of members strictly below the Frobenius number."""
-    return basic_invariants(sg).n_below
-
-
 def pseudo_frobenius(
     sg: GenericSemigroup, inv: Optional[SemigroupInvariants] = None
 ) -> list[int]:
     """Pseudo-Frobenius numbers, ascending.
 
-    Computed as {w - m : w maximal in the Apéry set under the partial
-    order "difference is a member"}, then cross-checked against the raw
-    definition: x not in S with x + g in S for every generator g (adding
-    a generator at a time reaches every nonzero member).
+    Computed from the Apéry table alone as {w - m : w maximal in Ap(S, m)
+    under "difference is a member"}, where w is maximal iff w + g is not an
+    Apéry element for any generator g != m (Rosales and García-Sánchez,
+    Numerical Semigroups, 2009, §2).  Cross-checked against the raw
+    definition on the membership mask alone: x not in S with x + g in S for
+    every generator g (adding a generator at a time reaches every nonzero
+    member).
     """
     if inv is None:
         inv = basic_invariants(sg)
-    sv = inv.sieve
-    vals = inv.apery.values()
-    maximals = []
-    for idx, w in enumerate(vals):
-        dominated = False
-        for w2 in reversed(vals[idx + 1 :]):  # largest first: witnesses come fast
-            if (w2 - w) in sv:
-                dominated = True
-                break
-        if not dominated:
-            maximals.append(w)
-    pf = sorted(w - sg.multiplicity for w in maximals)
+    ap_mask = _mask_of(inv.apery.values())
+    maximal = ap_mask
+    for g in sg.gens[1:]:
+        maximal &= ~(ap_mask >> g)
+    pf = [w - sg.multiplicity for w in _set_bits(maximal)]
 
-    direct = [
-        x
-        for x in range(-1, inv.frobenius + 1)
-        if not (x >= 0 and x in sv) and all((x + g) in sv for g in sg.gens)
-    ]
-    assert pf == direct, f"pseudo-Frobenius routes disagree: {pf} vs {direct}"
+    s = inv.sieve.mask
+    candidates = ~s & ((1 << (inv.frobenius + 1)) - 1)  # the gaps, all in [0, F]
+    for g in sg.gens:
+        candidates &= s >> g
+    direct = _set_bits(candidates)
+    if all((g - 1) in inv.sieve for g in sg.gens):  # x = -1, which qualifies iff S = N
+        direct.insert(0, -1)
+    if pf != direct:
+        raise RouteDisagreementError(f"pseudo-Frobenius routes disagree: {pf} vs {direct}")
     return pf
 
 
@@ -252,48 +275,45 @@ def minimal_generators(values) -> list[int]:
         raise NotNumericalSemigroupError(
             f"gcd{tuple(vals)} != 1: not a numerical semigroup"
         )
-    minimal = []
-    for idx, v in enumerate(vals):
-        smaller = vals[:idx]
-        if not smaller or not _is_member_dp(smaller, v):
-            minimal.append(v)
-    return minimal
+    return [v for idx, v in enumerate(vals) if not _closure(vals[:idx], v) >> v & 1]
+
+
+def length_table(
+    sg: GenericSemigroup, bound: int, cap: int = DEFAULT_FACTOR_CAP
+) -> list[int]:
+    """Factorization lengths of 0..bound as bitmasks: bit k of entry x is
+    set iff x is a sum of exactly k generators.
+
+    Entry x is the union over generators g of entry x - g shifted up one
+    length; folding the generators in one at a time fills it in a single
+    ascending pass each.
+    """
+    if bound > cap:
+        raise CapacityError(f"factorization target {bound} exceeds cap {cap}")
+    table = [1] + [0] * bound
+    for g in sg.gens:
+        for x in range(g, bound + 1):
+            table[x] |= table[x - g] << 1
+    return table
 
 
 def length_set(
-    sg: GenericSemigroup, x: int, cap: int = DEFAULT_FACTOR_CAP
+    sg: GenericSemigroup,
+    x: int,
+    cap: int = DEFAULT_FACTOR_CAP,
+    table: Optional[list[int]] = None,
 ) -> frozenset[int]:
     """All factorization lengths of x over the generators; empty iff x is
     not a member.
 
-    Depth-first over generator multiplicities, largest generator first,
-    pruned by the remaining value and memoized on (remainder, position).
+    Read from `table`, a `length_table` of sg reaching x, when given, and
+    otherwise from a fresh table up to x.
     """
     if x < 0:
         raise ValueError(f"need x >= 0, got {x}")
-    if x > cap:
-        raise CapacityError(f"factorization target {x} exceeds cap {cap}")
-    gens = sorted(sg.gens, reverse=True)
-    memo: dict[tuple[int, int], frozenset[int]] = {}
-
-    def lengths(rem: int, k: int) -> frozenset[int]:
-        if rem == 0:
-            return frozenset({0})
-        if k == len(gens) or rem < gens[-1]:
-            return frozenset()
-        key = (rem, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g = gens[k]
-        out: set[int] = set()
-        for u in range(rem // g + 1):
-            out.update(u + l for l in lengths(rem - u * g, k + 1))
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return lengths(x, 0)
+    if table is None:
+        table = length_table(sg, x, cap)
+    return frozenset(_set_bits(table[x]))
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,6 @@ def oracle_bundle(a: int, b: int, n: int, sieve_cap: int) -> OracleBundle:
     return OracleBundle(sg, inv, tuple(pf), wilf)
 
 
-@lru_cache(maxsize=None)
-def _length_sets_cached(gens: tuple[int, ...], x: int, cap: int) -> frozenset[int]:
-    return oracle.length_set(oracle.GenericSemigroup(gens), x, cap=cap)
-
-
 def _digest(values: list[int]) -> dict:
     """Compact deterministic fingerprint of a (possibly large) value list."""
     joined = ",".join(map(str, values)).encode()
@@ -175,8 +170,9 @@ def run_check(params: GrepunitParams, check: str, caps: Caps = Caps()) -> Verify
                     STATUS_SKIPPED_CAPACITY,
                     f"largest Apéry element {max_value} exceeds factorization cap {caps.factor}",
                 )
-            gens = bundle.semigroup.gens
-            length_sets = lambda x: _length_sets_cached(gens, x, caps.factor)
+            sg = bundle.semigroup
+            table = oracle.length_table(sg, max_value, cap=caps.factor)
+            length_sets = lambda x: oracle.length_set(sg, x, table=table)
             result = closed_form.is_homogeneous(params, length_sets, cap=caps.apery)
             return outcome(True, result, result)
 

@@ -1,13 +1,20 @@
 """Brute-force engine against textbook semigroups and pairwise identities."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grepunit import oracle
-from grepunit.errors import CapacityError, NotNumericalSemigroupError
+from grepunit.apery import AperyTable
+from grepunit.errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 
 def sg(*gens):
@@ -55,6 +62,64 @@ def test_apery_set_known_values():
 def test_apery_needs_member_modulus():
     with pytest.raises(ValueError):
         oracle.apery_set(sg(6, 9, 20), 7)
+
+
+def test_capacity_refused_before_the_apery_stage(monkeypatch):
+    def unreachable(sg, q):
+        raise AssertionError("Apéry stage reached")
+
+    monkeypatch.setattr(oracle, "apery_set", unreachable)
+    # the sieve bound is at least 2m - 1, so 2m cells over the cap is refused up front
+    with pytest.raises(CapacityError):
+        oracle.basic_invariants(sg(1000, 1001), sieve_cap=1999)
+    with pytest.raises(AssertionError, match="reached"):
+        oracle.basic_invariants(sg(1000, 1001), sieve_cap=2000)
+
+
+def drop_residue_one(table: AperyTable) -> AperyTable:
+    return AperyTable(table.modulus, {r: e for r, e in table.elements.items() if r != 1})
+
+
+def test_route_disagreement_raises(monkeypatch):
+    real = oracle.apery_set
+    monkeypatch.setattr(oracle, "apery_set", lambda sg, q: drop_residue_one(real(sg, q)))
+    with pytest.raises(RouteDisagreementError):
+        oracle.basic_invariants(sg(7, 8, 10))
+
+
+def test_route_disagreement_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from grepunit import oracle
+        from grepunit.apery import AperyTable
+
+        real = oracle.apery_set
+
+        def apery_set(sg, q):
+            table = real(sg, q)
+            return AperyTable(table.modulus, {r: e for r, e in table.elements.items() if r != 1})
+
+        oracle.apery_set = apery_set
+        print(__debug__)
+        oracle.basic_invariants(oracle.GenericSemigroup((7, 8, 10)))
+        """
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False"  # assert statements are compiled away
+    assert proc.returncode != 0
+    assert "RouteDisagreementError" in proc.stderr
+
+
+def test_oracle_never_imports_closed_form():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            assert not any("closed_form" in name for name in names), ast.unparse(node)
 
 
 def test_invariants_of_known_semigroups():
