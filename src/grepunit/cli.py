@@ -20,16 +20,16 @@ from .closed_form import InvariantReport, invariant_report
 from .errors import CapacityError, InvalidParametersError
 from .verify import (
     CHECK_NAMES,
-    STATUS_INVALID,
     STATUS_MATCH,
     STATUS_MISMATCH,
+    STATUS_ORDER,
     STATUS_SKIPPED_CAPACITY,
-    STATUS_SKIPPED_UNSUPPORTED,
     Caps,
     SweepSpec,
     VerifyOutcome,
     oracle_report,
     run_checks,
+    summarize,
     sweep,
 )
 
@@ -43,15 +43,6 @@ EXIT_USAGE = 64
 FORMATS = ("json", "csv", "text")
 CSV_COLUMNS = ("a", "b", "n", "check", "closed", "oracle", "status")
 JSON_SAFE_MAX = 2**53
-
-STATUS_ORDER = (
-    STATUS_MATCH,
-    STATUS_MISMATCH,
-    STATUS_SKIPPED_CAPACITY,
-    STATUS_SKIPPED_UNSUPPORTED,
-    STATUS_INVALID,
-)
-
 
 class Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 64."""
@@ -118,11 +109,8 @@ def parse_checks(text: str) -> tuple[str, ...]:
     return tuple(c for c in CHECK_NAMES if c in names)
 
 
-def summarize(rows: list[VerifyOutcome]) -> dict:
-    counts = {status: 0 for status in STATUS_ORDER}
-    for row in rows:
-        counts[row.status] += 1
-    return counts
+def summary_line(summary: dict) -> str:
+    return "summary: " + ", ".join(f"{summary[s]} {s}" for s in STATUS_ORDER)
 
 
 def report_doc(report: InvariantReport) -> dict:
@@ -140,19 +128,6 @@ def report_doc(report: InvariantReport) -> dict:
         "apery_sum": report.apery_sum,
         "n_of_s": report.n_of_s,
         "wilf_ok": report.wilf_ok,
-    }
-
-
-def row_dict(row: VerifyOutcome) -> dict:
-    return {
-        "a": row.a,
-        "b": row.b,
-        "n": row.n,
-        "check": row.check,
-        "closed": row.closed,
-        "oracle": row.oracle,
-        "status": row.status,
-        "note": row.note,
     }
 
 
@@ -192,7 +167,7 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) ->
             "kind": kind,
             "version": __version__,
             **header,
-            "rows": [row_dict(r) for r in rows],
+            "rows": [vars(r) for r in rows],  # the fields, in declaration order
             "summary": summary,
         }
         return json.dumps(json_ready(doc), indent=2) + "\n"
@@ -213,7 +188,7 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) ->
         if r.note:
             line += f"  ({r.note})"
         lines.append(line)
-    lines.append("summary: " + ", ".join(f"{summary[s]} {s}" for s in STATUS_ORDER))
+    lines.append(summary_line(summary))
     return "\n".join(lines) + "\n"
 
 
@@ -292,7 +267,7 @@ def cmd_sweep(args) -> int:
     emit(render_rows("sweep", header, rows, args.format), args.out)
     if args.out or args.format == "csv":
         stream = sys.stdout if args.out else sys.stderr
-        print("summary: " + ", ".join(f"{summary[s]} {s}" for s in STATUS_ORDER), file=stream)
+        print(summary_line(summary), file=stream)
     return EXIT_MISMATCH if summary[STATUS_MISMATCH] else EXIT_OK
 
 

@@ -16,7 +16,12 @@ from typing import Callable, Optional
 from . import arith
 from .apery import AperyElement, AperyTable
 from .arith import GrepunitParams, repunit
-from .errors import CapacityError, InvalidBaseError, UnsupportedDimensionError
+from .errors import (
+    CapacityError,
+    InvalidBaseError,
+    RouteDisagreementError,
+    UnsupportedDimensionError,
+)
 
 DEFAULT_APERY_CAP = 10**6
 
@@ -51,7 +56,8 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
             prefix.pop()
 
     extend(True)
-    assert len(out) == count
+    if len(out) != count:
+        raise RouteDisagreementError(f"{len(out)} coefficient tuples, expected repunit = {count}")
     return out
 
 
@@ -75,7 +81,8 @@ def frobenius(params: GrepunitParams) -> int:
     """
     a, n = params.a, params.n
     top = params.b**params.n - 1
-    assert a != top, "a = b**n - 1 contradicts the coprimality invariant"
+    if a == top:
+        raise RouteDisagreementError("a = b**n - 1 contradicts the coprimality invariant")
     if a < top:
         return (n - 1) * (top - a) + a * params.multiplicity
     return top - a + a * params.multiplicity
@@ -84,7 +91,8 @@ def frobenius(params: GrepunitParams) -> int:
 def genus(params: GrepunitParams) -> int:
     """Number of gaps: ((n-1)*b**n + (a_1 - 1)*a) / 2, exactly."""
     numerator = (params.n - 1) * params.b**params.n + (params.multiplicity - 1) * params.a
-    assert numerator % 2 == 0, "odd genus numerator indicates an arithmetic bug"
+    if numerator % 2:
+        raise RouteDisagreementError("odd genus numerator indicates an arithmetic bug")
     return numerator // 2
 
 
@@ -98,7 +106,8 @@ def apery_sum_coefficients(b: int, n: int) -> list[int]:
     coeffs = []
     for j in range(2, n + 1):
         numerator = b**n + b ** (n - j + 1)
-        assert numerator % 2 == 0, "odd coefficient numerator indicates an arithmetic bug"
+        if numerator % 2:
+            raise RouteDisagreementError("odd coefficient numerator indicates an arithmetic bug")
         coeffs.append(numerator // 2)
     return coeffs
 
@@ -123,8 +132,10 @@ def pseudo_frobenius(params: GrepunitParams) -> list[int]:
     step = params.b**params.n - 1 - a
     base = a * params.multiplicity
     values = sorted({(n - i + 1) * step + base for i in range(2, n + 1)})
-    assert len(values) == n - 1
-    assert values[-1] == frobenius(params)
+    if len(values) != n - 1:
+        raise RouteDisagreementError(f"{len(values)} pseudo-Frobenius numbers, expected {n - 1}")
+    if values[-1] != frobenius(params):
+        raise RouteDisagreementError(f"largest pseudo-Frobenius number {values[-1]} is not F")
     return values
 
 
@@ -168,7 +179,8 @@ def apery_set_recursive(
         for u in range(params.b):
             coeffs = elt.coeffs + (u,)
             value = elt.value + shift * elt.length + u * a_n
-            assert value == sum(c * g for c, g in zip(coeffs, gens[1:]))
+            if value != sum(c * g for c, g in zip(coeffs, gens[1:])):
+                raise RouteDisagreementError(f"lifted value {value} disagrees with tuple {coeffs}")
             elements.append(AperyElement(value, coeffs, elt.length + u))
     return AperyTable.build(gens[0], elements)
 
@@ -188,16 +200,14 @@ def is_homogeneous(
 
 
 def affine_closure_ok(
-    params: GrepunitParams,
-    bound: int,
-    member: Optional[Callable[[int], bool]] = None,
+    params: GrepunitParams, bound: int, member: Callable[[int], bool]
 ) -> bool:
     """Whether the semigroup is closed under x -> b*x + a - (b**n - 1).
 
     Checks the exact generator identity b*a_j + a - (b**n - 1) == a_{j+1}
     for j = 1..n-1, then maps every nonzero member up to `bound` and
-    tests membership of the image.  `member` defaults to a fresh sieve
-    wide enough for all images.
+    tests membership of the image with `member`, an independent
+    membership test that must answer for every image.
     """
     b = params.b
     shift = params.a - (b**params.n - 1)
@@ -205,12 +215,6 @@ def affine_closure_ok(
     for j in range(1, params.n):
         if b * gens[j - 1] + shift != gens[j]:
             return False
-    if member is None:
-        from . import oracle
-
-        sg = oracle.GenericSemigroup.from_values(gens)
-        sv = oracle.sieve(sg, max(b * bound + max(shift, 0), max(gens)))
-        member = sv.__contains__
     for s in range(1, bound + 1):
         if member(s) and not member(b * s + shift):
             return False

@@ -1,39 +1,37 @@
 """Closed-form versus brute-force comparison engine.
 
-One named check per invariant; each check computes the value along both
-routes and reports match / mismatch / skip.  Grid sweeps iterate triples
-in ascending (b, n, a) order so output is deterministic.
+`CHECKS` maps each check name to a function that computes one invariant
+along both routes; `run_check` looks up the triple's oracle bundle,
+calls the check and turns its result into one match / mismatch / skip
+row.  A capacity overrun is a `skipped-capacity` row and a route
+disagreement inside either engine a `mismatch` row with the error as its
+note.  Grid sweeps iterate triples in ascending (b, n, a) order so
+output is deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import closed_form, oracle
 from .arith import GrepunitParams, validate
-from .errors import CapacityError, InvalidParametersError
-
-CHECK_NAMES = (
-    "frobenius",
-    "genus",
-    "apery",
-    "pf",
-    "type",
-    "homogeneous",
-    "wilf",
-    "minors",
-    "recursive",
-    "affine",
-)
+from .errors import CapacityError, InvalidParametersError, RouteDisagreementError
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
 STATUS_SKIPPED_CAPACITY = "skipped-capacity"
 STATUS_SKIPPED_UNSUPPORTED = "skipped-unsupported"
 STATUS_INVALID = "invalid-params"
+STATUS_ORDER = (
+    STATUS_MATCH,
+    STATUS_MISMATCH,
+    STATUS_SKIPPED_CAPACITY,
+    STATUS_SKIPPED_UNSUPPORTED,
+    STATUS_INVALID,
+)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class OracleBundle:
     wilf: oracle.WilfData
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # sweeps visit triples in order; only the current one recurs
 def oracle_bundle(a: int, b: int, n: int, sieve_cap: int) -> OracleBundle:
     params = validate(a, b, n)
     sg = oracle.GenericSemigroup.from_values(params.generators())
@@ -119,109 +117,123 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
     )
 
 
+class _Unsupported(Exception):
+    """The check does not apply to this triple; the message is the note."""
+
+
+def _equal(closed, brute) -> tuple:
+    return closed, brute, closed == brute
+
+
+def _frobenius(params, bundle, caps):
+    return _equal(closed_form.frobenius(params), bundle.invariants.frobenius)
+
+
+def _genus(params, bundle, caps):
+    return _equal(closed_form.genus(params), bundle.invariants.genus)
+
+
+def _apery(params, bundle, caps):
+    closed_values = closed_form.apery_set(params, cap=caps.apery).values()
+    oracle_values = bundle.invariants.apery.values()
+    sum_formula = closed_form.apery_sum(params)
+    matched = closed_values == oracle_values and sum_formula == sum(oracle_values)
+    return _digest(closed_values), _digest(oracle_values), matched
+
+
+def _pf(params, bundle, caps):
+    return _equal(list(closed_form.pseudo_frobenius(params)), list(bundle.pseudo_frobenius))
+
+
+def _type(params, bundle, caps):
+    return _equal(len(closed_form.pseudo_frobenius(params)), len(bundle.pseudo_frobenius))
+
+
+def _homogeneous(params, bundle, caps):
+    max_value = bundle.invariants.apery.max_value()
+    if max_value > caps.factor:
+        raise CapacityError(
+            f"largest Apéry element {max_value} exceeds factorization cap {caps.factor}"
+        )
+    sg = bundle.semigroup
+    table = oracle.length_table(sg, max_value, cap=caps.factor)
+    length_sets = lambda x: oracle.length_set(sg, x, table=table)
+    result = closed_form.is_homogeneous(params, length_sets, cap=caps.apery)
+    return True, result, result
+
+
+def _wilf(params, bundle, caps):
+    report = closed_form.invariant_report(params)
+    # for this family type + 1 = embedding dimension, so the
+    # sharper bound coincides with Wilf's on the closed side
+    c = {"wilf": report.wilf_ok, "type_bound": report.wilf_ok}
+    o = {"wilf": bundle.wilf.wilf_ok, "type_bound": bundle.wilf.type_bound_ok}
+    return _equal(c, o)
+
+
+def _minors(params, bundle, caps):
+    if params.n < 3:
+        raise _Unsupported("lattice matrix needs n >= 3")
+    matrix = closed_form.lattice_matrix(params)
+    minors = closed_form.maximal_minors(matrix)
+    gens = params.generators()
+    alternate = all(minors[i] * minors[i + 1] < 0 for i in range(len(minors) - 1))
+    matched = [abs(m) for m in minors] == gens and alternate and matrix.annihilates(gens)
+    return minors, gens, matched
+
+
+def _recursive(params, bundle, caps):
+    if params.n < 3:
+        raise _Unsupported("recursive construction needs n >= 3")
+    try:
+        prev = validate(params.a, params.b, params.n - 1)
+    except InvalidParametersError as exc:
+        raise _Unsupported(f"smaller triple invalid: {exc}")
+    direct = closed_form.apery_set(params, cap=caps.apery).values()
+    lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery).values()
+    return _digest(direct), _digest(lifted), direct == lifted
+
+
+def _affine(params, bundle, caps):
+    # every integer above the Frobenius number is a member, and the
+    # bundle's sieve covers everything up to it
+    f, sv = bundle.invariants.frobenius, bundle.invariants.sieve
+    member = lambda y: y > f or y in sv
+    result = closed_form.affine_closure_ok(params, f + 2 * params.multiplicity, member)
+    return True, result, result
+
+
+# Check name -> f(params, bundle, caps) -> (closed, oracle, matched).  A
+# check raises CapacityError or _Unsupported to be skipped.
+CHECKS = {
+    "frobenius": _frobenius,
+    "genus": _genus,
+    "apery": _apery,
+    "pf": _pf,
+    "type": _type,
+    "homogeneous": _homogeneous,
+    "wilf": _wilf,
+    "minors": _minors,
+    "recursive": _recursive,
+    "affine": _affine,
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def run_check(params: GrepunitParams, check: str, caps: Caps = Caps()) -> VerifyOutcome:
-    if check not in CHECK_NAMES:
+    if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     a, b, n = params.a, params.b, params.n
-
-    def outcome(closed, oracle_value, matched, status=None, note=""):
-        if status is None:
-            status = STATUS_MATCH if matched else STATUS_MISMATCH
-        return VerifyOutcome(a, b, n, check, closed, oracle_value, status, note)
-
-    def skipped(status, note):
-        return VerifyOutcome(a, b, n, check, None, None, status, note)
-
     try:
-        bundle = oracle_bundle(a, b, n, caps.sieve)
-
-        if check == "frobenius":
-            c = closed_form.frobenius(params)
-            o = bundle.invariants.frobenius
-            return outcome(c, o, c == o)
-
-        if check == "genus":
-            c = closed_form.genus(params)
-            o = bundle.invariants.genus
-            return outcome(c, o, c == o)
-
-        if check == "apery":
-            closed_table = closed_form.apery_set(params, cap=caps.apery)
-            closed_values = closed_table.values()
-            oracle_values = bundle.invariants.apery.values()
-            sum_formula = closed_form.apery_sum(params)
-            matched = closed_values == oracle_values and sum_formula == sum(oracle_values)
-            return outcome(_digest(closed_values), _digest(oracle_values), matched)
-
-        if check == "pf":
-            c = list(closed_form.pseudo_frobenius(params))
-            o = list(bundle.pseudo_frobenius)
-            return outcome(c, o, c == o)
-
-        if check == "type":
-            c = len(closed_form.pseudo_frobenius(params))
-            o = len(bundle.pseudo_frobenius)
-            return outcome(c, o, c == o)
-
-        if check == "homogeneous":
-            max_value = bundle.invariants.apery.max_value()
-            if max_value > caps.factor:
-                return skipped(
-                    STATUS_SKIPPED_CAPACITY,
-                    f"largest Apéry element {max_value} exceeds factorization cap {caps.factor}",
-                )
-            sg = bundle.semigroup
-            table = oracle.length_table(sg, max_value, cap=caps.factor)
-            length_sets = lambda x: oracle.length_set(sg, x, table=table)
-            result = closed_form.is_homogeneous(params, length_sets, cap=caps.apery)
-            return outcome(True, result, result)
-
-        if check == "wilf":
-            report = closed_form.invariant_report(params)
-            # for this family type + 1 = embedding dimension, so the
-            # sharper bound coincides with Wilf's on the closed side
-            c = {"wilf": report.wilf_ok, "type_bound": report.wilf_ok}
-            o = {"wilf": bundle.wilf.wilf_ok, "type_bound": bundle.wilf.type_bound_ok}
-            return outcome(c, o, c == o)
-
-        if check == "minors":
-            if n < 3:
-                return skipped(STATUS_SKIPPED_UNSUPPORTED, "lattice matrix needs n >= 3")
-            matrix = closed_form.lattice_matrix(params)
-            minors = closed_form.maximal_minors(matrix)
-            gens = params.generators()
-            alternate = all(minors[i] * minors[i + 1] < 0 for i in range(len(minors) - 1))
-            matched = (
-                [abs(m) for m in minors] == gens
-                and alternate
-                and matrix.annihilates(gens)
-            )
-            return outcome(minors, gens, matched)
-
-        if check == "recursive":
-            if n < 3:
-                return skipped(STATUS_SKIPPED_UNSUPPORTED, "recursive construction needs n >= 3")
-            try:
-                prev = validate(a, b, n - 1)
-            except InvalidParametersError as exc:
-                return skipped(STATUS_SKIPPED_UNSUPPORTED, f"smaller triple invalid: {exc}")
-            direct = closed_form.apery_set(params, cap=caps.apery).values()
-            lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery).values()
-            return outcome(_digest(direct), _digest(lifted), direct == lifted)
-
-        if check == "affine":
-            inv = bundle.invariants
-            bound = inv.frobenius + 2 * params.multiplicity
-            shift = params.a - (params.b**params.n - 1)
-            image_top = params.b * bound + max(shift, 0)
-            sv = oracle.sieve(bundle.semigroup, max(image_top, bound), cap=caps.sieve)
-            result = closed_form.affine_closure_ok(params, bound, member=sv.__contains__)
-            return outcome(True, result, result)
-
+        closed, brute, matched = CHECKS[check](params, oracle_bundle(a, b, n, caps.sieve), caps)
     except CapacityError as exc:
-        return skipped(STATUS_SKIPPED_CAPACITY, str(exc))
-
-    raise AssertionError(f"unhandled check {check!r}")
+        return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_CAPACITY, str(exc))
+    except _Unsupported as exc:
+        return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_UNSUPPORTED, str(exc))
+    except RouteDisagreementError as exc:
+        return VerifyOutcome(a, b, n, check, None, None, STATUS_MISMATCH, str(exc))
+    status = STATUS_MATCH if matched else STATUS_MISMATCH
+    return VerifyOutcome(a, b, n, check, closed, brute, status)
 
 
 def run_checks(
@@ -260,17 +272,18 @@ class SweepSpec:
                     yield a, b, n
 
 
+def summarize(rows: Iterable[VerifyOutcome]) -> dict:
+    """Row count per status, keyed in STATUS_ORDER."""
+    counts = dict.fromkeys(STATUS_ORDER, 0)
+    for row in rows:
+        counts[row.status] += 1
+    return counts
+
+
 def sweep(spec: SweepSpec, caps: Caps = Caps()) -> tuple[list[VerifyOutcome], dict]:
     """Run every requested check over the grid.  Invalid triples become
     one `invalid-params` row each when skip_invalid, and raise otherwise."""
     rows: list[VerifyOutcome] = []
-    summary = {
-        STATUS_MATCH: 0,
-        STATUS_MISMATCH: 0,
-        STATUS_SKIPPED_CAPACITY: 0,
-        STATUS_SKIPPED_UNSUPPORTED: 0,
-        STATUS_INVALID: 0,
-    }
     for a, b, n in spec.triples():
         try:
             params = validate(a, b, n)
@@ -278,9 +291,6 @@ def sweep(spec: SweepSpec, caps: Caps = Caps()) -> tuple[list[VerifyOutcome], di
             if not spec.skip_invalid:
                 raise
             rows.append(VerifyOutcome(a, b, n, "validate", None, None, STATUS_INVALID, str(exc)))
-            summary[STATUS_INVALID] += 1
             continue
-        for outcome in run_checks(params, spec.checks, caps):
-            rows.append(outcome)
-            summary[outcome.status] += 1
-    return rows, summary
+        rows.extend(run_checks(params, spec.checks, caps))
+    return rows, summarize(rows)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from grepunit.cli import (
     json_ready,
     main,
 )
+from grepunit.errors import RouteDisagreementError
+from grepunit.verify import oracle_bundle
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
@@ -221,3 +224,38 @@ def test_console_reports_branch_example(capsys):
     )
     assert code == EXIT_OK
     assert "closed=13 oracle=13" in out
+
+
+def test_route_disagreement_reported_as_mismatch(capsys, monkeypatch):
+    def disagree(sg, inv=None):
+        raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
+
+    oracle_bundle.cache_clear()
+    monkeypatch.setattr("grepunit.oracle.pseudo_frobenius", disagree)
+    code, out, _ = run_cli(capsys, "verify", "-a", "3", "-b", "3", "-n", "4", "--format", "json")
+    assert code == EXIT_MISMATCH
+    doc = json.loads(out)
+    jsonschema.validate(doc, OUTCOMES_SCHEMA)
+    assert doc["summary"]["mismatch"] == 10
+    for row in doc["rows"]:
+        assert (row["closed"], row["oracle"], row["status"]) == (None, None, "mismatch")
+        assert row["note"] == "pseudo-Frobenius routes disagree: planted"
+
+
+# sha256 of the stdout of `sweep --a 1..12 --b 2..3 --n 2..4 --checks all`:
+# refactors of verify and cli must keep the output byte for byte
+SWEEP_DIGESTS = {
+    "json": "7ae234dff3edb5e30e9b43035f1005906ac1a1c3286c1f1978ac612863dc50b9",
+    "csv": "d4e801d7aea8358441f4faa5441707e089fb93b7ceed797d3755d573b847735d",
+    "text": "80a4e27724a9a707896d663c9706cb09325b02e360cb846702a0db91dce9f5f3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--a", "1..12", "--b", "2..3", "--n", "2..4",
+        "--checks", "all", "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]

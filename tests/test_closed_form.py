@@ -1,6 +1,12 @@
 """Closed formulas against golden values and small direct enumerations."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,7 @@ from grepunit.errors import (
     CapacityError,
     InvalidBaseError,
     NotCoprimeError,
+    RouteDisagreementError,
     UnsupportedDimensionError,
 )
 
@@ -181,9 +188,18 @@ def test_homogeneous_golden():
     assert closed_form.is_homogeneous(GOLDEN, lengths)
 
 
+def sieve_member(params, bound):
+    """Membership test from an oracle sieve wide enough for every image
+    of the affine map on 0..bound."""
+    sg = oracle.GenericSemigroup.from_values(params.generators())
+    shift = params.a - (params.b**params.n - 1)
+    return oracle.sieve(sg, max(params.b * bound + max(shift, 0), max(sg.gens))).__contains__
+
+
 def test_affine_closure_golden():
-    assert closed_form.affine_closure_ok(GOLDEN, bound=500)
-    assert closed_form.affine_closure_ok(validate(5, 2, 2), bound=60)
+    assert closed_form.affine_closure_ok(GOLDEN, bound=500, member=sieve_member(GOLDEN, 500))
+    p = validate(5, 2, 2)
+    assert closed_form.affine_closure_ok(p, bound=60, member=sieve_member(p, 60))
 
 
 def test_lattice_matrix_golden():
@@ -239,3 +255,40 @@ def test_invariant_report_golden():
     report = closed_form.invariant_report(GOLDEN)
     assert report.genus == 180
     assert report.apery_sum == 7980
+
+
+def test_route_disagreement_raises(monkeypatch):
+    real = closed_form.frobenius
+    monkeypatch.setattr(closed_form, "frobenius", lambda params: real(params) + 1)
+    with pytest.raises(RouteDisagreementError):
+        closed_form.pseudo_frobenius(GOLDEN)
+
+
+def test_route_disagreement_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from grepunit import closed_form
+        from grepunit.arith import validate
+
+        real = closed_form.frobenius
+        closed_form.frobenius = lambda params: real(params) + 1
+        print(__debug__)
+        closed_form.pseudo_frobenius(validate(3, 3, 4))
+        """
+    )
+    src = str(Path(closed_form.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False"  # assert statements are compiled away
+    assert proc.returncode != 0
+    assert "RouteDisagreementError" in proc.stderr
+
+
+def test_closed_form_never_imports_oracle():
+    tree = ast.parse(Path(closed_form.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            assert not any("oracle" in name for name in names), ast.unparse(node)

@@ -1,11 +1,17 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from grepunit import oracle
 from grepunit.arith import validate
 from grepunit.closed_form import invariant_report
+from grepunit.errors import RouteDisagreementError
 from grepunit.verify import (
     CHECK_NAMES,
+    CHECKS,
     STATUS_INVALID,
     STATUS_MATCH,
     STATUS_MISMATCH,
@@ -13,6 +19,7 @@ from grepunit.verify import (
     STATUS_SKIPPED_UNSUPPORTED,
     Caps,
     SweepSpec,
+    oracle_bundle,
     oracle_report,
     run_check,
     run_checks,
@@ -130,3 +137,40 @@ def test_outcome_shape():
     assert row.oracle == 19
     assert row.status == STATUS_MATCH
     assert row.note == ""
+
+
+def test_registry_is_the_schema_check_list():
+    schema = json.loads((Path(__file__).resolve().parent.parent / "schema" / "outcomes.json").read_text())
+    assert CHECK_NAMES == tuple(CHECKS)
+    assert CHECK_NAMES == tuple(schema["$defs"]["checkName"]["enum"])
+
+
+def test_bundle_cache_holds_only_the_current_triple():
+    oracle_bundle.cache_clear()
+    spec = SweepSpec(a_range=(1, 4), b_range=(2, 3), n_range=(2, 3), checks=("frobenius", "genus"))
+    rows, _ = sweep(spec)
+    info = oracle_bundle.cache_info()
+    assert info.currsize <= 1
+    assert info.hits > 0  # the checks of one triple share its bundle
+    assert info.misses == len({(r.a, r.b, r.n) for r in rows if r.check != "validate"})
+
+
+def test_affine_needs_no_sieve_beyond_the_bundle():
+    # (3, 3, 4): the bundle sieves up to max Ap + max gen = 470, while the
+    # images of the affine map reach b*(F + 2m) = 1293
+    p = validate(3, 3, 4)
+    inv = oracle_bundle(p.a, p.b, p.n, 1000).invariants
+    assert inv.sieve.bound < 1000 < p.b * (inv.frobenius + 2 * p.multiplicity)
+    assert run_check(p, "affine", Caps(sieve=1000)).status == STATUS_MATCH
+
+
+def test_route_disagreement_is_a_mismatch_row(monkeypatch):
+    def disagree(sg, inv=None):
+        raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
+
+    oracle_bundle.cache_clear()
+    monkeypatch.setattr(oracle, "pseudo_frobenius", disagree)
+    row = run_check(validate(3, 3, 4), "frobenius")
+    assert row.status == STATUS_MISMATCH
+    assert (row.closed, row.oracle) == (None, None)
+    assert row.note == "pseudo-Frobenius routes disagree: planted"
