@@ -1,14 +1,15 @@
-"""Apéry tables: least semigroup element per residue class.
+"""Apéry tables of the closed-form constructions: least semigroup
+element per residue class, each with the coefficient tuple it was built
+from and its factorization length.
 
-Shared between the closed-form constructions (which know coefficient
-tuples and factorization lengths) and the brute-force engine (which only
-knows values).
+The brute-force engine in `oracle` does not use this module; its Apéry
+sets are plain ascending lists of ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -17,13 +18,12 @@ class AperyElement:
 
     `coeffs` are the coefficients (u_2, ..., u_n) of its factorization
     over the non-minimal generators and `length` the factorization length
-    sum(coeffs); both are None when the element was found by search
-    rather than constructed.
+    sum(coeffs).
     """
 
     value: int
-    coeffs: Optional[tuple[int, ...]] = None
-    length: Optional[int] = None
+    coeffs: tuple[int, ...]
+    length: int
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,3 @@ class AperyTable:
 
     def total(self) -> int:
         return sum(e.value for e in self.elements.values())
-
-    def max_value(self) -> int:
-        return max(e.value for e in self.elements.values())

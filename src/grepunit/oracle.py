@@ -2,12 +2,13 @@
 
 Everything here works from first definitions, on big-integer bitsets:
 membership by a shift-or closure over the generators, Frobenius number,
-genus and n(S) by bit length and popcount of that mask, Apéry sets by
-Böcker-Lipták round-robin over residue classes, pseudo-Frobenius numbers
-by the generator test on the Apéry set cross-checked against the raw
-definition on the membership mask, and factorization length sets from
-one table of length bitmasks per semigroup.  Nothing in this module
-consults the closed formulas it is used to check.
+genus and n(S) by bit length and popcount of that mask, Apéry sets as
+ascending lists of ints by Böcker-Lipták round-robin over residue
+classes, pseudo-Frobenius numbers by the generator test on the Apéry set
+cross-checked against the raw definition on the membership mask, and
+factorization length sets from one table of length bitmasks per
+semigroup.  Nothing in this module consults the closed formulas it is
+used to check, nor the Apéry tables they build.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .apery import AperyElement, AperyTable
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 DEFAULT_SIEVE_CAP = 10**8
@@ -110,9 +110,6 @@ class MembershipSieve:
             raise CapacityError(f"membership query {x} beyond sieve bound {self.bound}")
         return bool(self.bits[x >> 3] >> (x & 7) & 1)
 
-    def members(self) -> list[int]:
-        return _set_bits(self.mask)
-
     def gaps(self) -> list[int]:
         return _set_bits(~self.mask & ((1 << (self.bound + 1)) - 1))
 
@@ -127,8 +124,8 @@ def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> Mem
     return MembershipSieve(sg.gens, bound, mask, mask.to_bytes((bound >> 3) + 1, "little"))
 
 
-def apery_set(sg: GenericSemigroup, q: int) -> AperyTable:
-    """Least member of each residue class mod q, by round-robin.
+def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
+    """Least member of each residue class mod q, ascending, by round-robin.
 
     best[r] holds the least sum of the generators folded in so far that is
     congruent to r.  Folding in g walks each cycle r -> r + g (mod q) once,
@@ -160,8 +157,9 @@ def apery_set(sg: GenericSemigroup, q: int) -> AperyTable:
                     v = cur
                 else:
                     best[r] = v
-    # a class never reached leaves the table short, which build rejects
-    return AperyTable.build(q, (AperyElement(v) for v in best if v != unreached))
+    if unreached in best:  # with gcd 1 every class holds a member
+        raise RouteDisagreementError(f"{best.count(unreached)} residue classes mod {q} never reached")
+    return sorted(best)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ class SemigroupInvariants:
     """Frobenius number, genus and friends, each computed two ways."""
 
     semigroup: GenericSemigroup
-    apery: AperyTable
+    apery: list[int]  # Ap(S, m), ascending
     sieve: MembershipSieve
     frobenius: int
     genus: int
@@ -194,11 +192,11 @@ def basic_invariants(
             f"which exceeds capacity cap {sieve_cap}"
         )
     ap = apery_set(sg, m)
-    bound = ap.max_value() + max(sg.gens)
+    bound = ap[-1] + max(sg.gens)
     sv = sieve(sg, bound, cap=sieve_cap)
 
-    f_apery = ap.max_value() - m
-    num = 2 * ap.total() - m * (m - 1)
+    f_apery = ap[-1] - m
+    num = 2 * sum(ap) - m * (m - 1)
     if num % (2 * m) != 0:
         raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
     g_apery = num // (2 * m)
@@ -211,9 +209,9 @@ def basic_invariants(
     if g_apery != g_sieve:
         raise RouteDisagreementError(f"genus routes disagree: {g_apery} vs {g_sieve}")
 
-    # Apéry vs sieve agreement: the table holds exactly the members whose
+    # Apéry vs sieve agreement: the set holds exactly the members whose
     # predecessor in their class is a gap.
-    if _mask_of(ap.values()) != sv.mask & ~(sv.mask << m):
+    if _mask_of(ap) != sv.mask & ~(sv.mask << m):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
     n_below = (sv.mask & ((1 << max(f_sieve, 0)) - 1)).bit_count()
@@ -235,7 +233,7 @@ def pseudo_frobenius(
 ) -> list[int]:
     """Pseudo-Frobenius numbers, ascending.
 
-    Computed from the Apéry table alone as {w - m : w maximal in Ap(S, m)
+    Computed from the Apéry set alone as {w - m : w maximal in Ap(S, m)
     under "difference is a member"}, where w is maximal iff w + g is not an
     Apéry element for any generator g != m (Rosales and García-Sánchez,
     Numerical Semigroups, 2009, §2).  Cross-checked against the raw
@@ -245,7 +243,7 @@ def pseudo_frobenius(
     """
     if inv is None:
         inv = basic_invariants(sg)
-    ap_mask = _mask_of(inv.apery.values())
+    ap_mask = _mask_of(inv.apery)
     maximal = ap_mask
     for g in sg.gens[1:]:
         maximal &= ~(ap_mask >> g)

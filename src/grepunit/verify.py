@@ -110,7 +110,7 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
         genus=inv.genus,
         pseudo_frobenius=pf,
         type=len(pf),
-        apery_sum=inv.apery.total(),
+        apery_sum=sum(inv.apery),
         n_of_s=inv.n_below,
         wilf_ok=bundle.wilf.wilf_ok,
         source="oracle",
@@ -135,7 +135,7 @@ def _genus(params, bundle, caps):
 
 def _apery(params, bundle, caps):
     closed_values = closed_form.apery_set(params, cap=caps.apery).values()
-    oracle_values = bundle.invariants.apery.values()
+    oracle_values = bundle.invariants.apery
     sum_formula = closed_form.apery_sum(params)
     matched = closed_values == oracle_values and sum_formula == sum(oracle_values)
     return _digest(closed_values), _digest(oracle_values), matched
@@ -150,7 +150,7 @@ def _type(params, bundle, caps):
 
 
 def _homogeneous(params, bundle, caps):
-    max_value = bundle.invariants.apery.max_value()
+    max_value = bundle.invariants.apery[-1]
     if max_value > caps.factor:
         raise CapacityError(
             f"largest Apéry element {max_value} exceeds factorization cap {caps.factor}"

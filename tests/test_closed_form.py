@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from grepunit import closed_form, oracle
-from grepunit.arith import repunit, validate
+from grepunit.arith import extension_holds, relation_holds, repunit, validate
 from grepunit.closed_form import LatticeMatrix
 from grepunit.errors import (
     CapacityError,
@@ -22,6 +22,9 @@ from grepunit.errors import (
 )
 
 GOLDEN = validate(3, 3, 4)  # generators <40, 43, 52, 79>
+
+# n = 200, b = 10^6: a on either side of b^n - 1 = 10^1200 - 1, far past any oracle
+HUGE = ((1, 10**6, 200), (10**1200, 10**6, 200))
 
 GOLDEN_APERY = [
     0, 43, 52, 79, 86, 95, 104, 122, 129, 131, 138, 147, 156, 158,
@@ -70,7 +73,7 @@ def test_apery_set_golden():
     assert table.values() == GOLDEN_APERY
     assert len(table) == GOLDEN.multiplicity
     assert table.total() == 7980
-    assert table.max_value() == 391
+    assert table.values()[-1] == 391
 
 
 def test_apery_set_smallest():
@@ -155,13 +158,27 @@ def test_apery_maximals_golden():
 
 
 def test_maximals_give_pseudo_frobenius():
-    for a, b, n in ((3, 3, 4), (1, 2, 5), (44, 5, 3), (59, 2, 4)):
+    for a, b, n in ((3, 3, 4), (1, 2, 5), (44, 5, 3), (59, 2, 4)) + HUGE:
         p = validate(a, b, n)
         alphas = closed_form.apery_maximals(p)
         pf = sorted(x - p.multiplicity for x in alphas)
         assert pf == closed_form.pseudo_frobenius(p)
         step = b**n - 1 - a
         assert all(x - y == step for x, y in zip(alphas, alphas[1:]))
+
+
+def test_closed_form_identities_at_huge_size():
+    for a, b, n in HUGE:
+        p = validate(a, b, n)
+        report = closed_form.invariant_report(p)
+        assert report.type == n - 1
+        assert report.wilf_ok
+        assert max(report.pseudo_frobenius) == report.frobenius
+        for i, j in ((1, 1), (1, n - 1), (57, 31), (n - 1, 1)):
+            assert relation_holds(p, i, j)
+        for i in (1, 2, n):
+            assert extension_holds(p, i)
+        assert closed_form.lattice_matrix(p).annihilates(p.generators())
 
 
 def test_recursive_apery_matches_direct():

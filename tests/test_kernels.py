@@ -98,7 +98,7 @@ def check_against_references(gens, length_targets) -> None:
     assert inv.sieve.mask == int(members[::-1].translate(BINARY_DIGITS), 2)
 
     apery = relaxation_apery(sg.gens, m)
-    assert inv.apery.values() == apery
+    assert inv.apery == apery
     assert oracle.pseudo_frobenius(sg, inv) == maximals_scan(apery, members, m)
 
     targets = list(length_targets(apery))
@@ -130,7 +130,7 @@ def test_kernels_agree_on_random_generating_sets(values, multiple, data):
 
     sg = oracle.GenericSemigroup.from_values(values)
     q = multiple * data.draw(st.sampled_from(sg.gens))  # a modulus that shares factors with some generators
-    assert oracle.apery_set(sg, q).values() == relaxation_apery(sg.gens, q)
+    assert oracle.apery_set(sg, q) == relaxation_apery(sg.gens, q)
 
     vals = sorted(set(values))
     redundant = [v for i, v in enumerate(vals) if i and dp_members(vals[:i], v)[v]]

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grepunit import oracle
-from grepunit.apery import AperyTable
 from grepunit.errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 
@@ -50,13 +49,12 @@ def test_sieve_cap():
 
 def test_apery_set_of_mcnugget_semigroup():
     # <6, 9, 20>: Ap(S, 6) residues 0..5
-    table = oracle.apery_set(sg(6, 9, 20), 6)
-    assert table.values() == [0, 9, 20, 29, 40, 49]
+    assert oracle.apery_set(sg(6, 9, 20), 6) == [0, 9, 20, 29, 40, 49]
 
 
 def test_apery_set_known_values():
-    assert oracle.apery_set(sg(7, 8, 10), 7).values() == [0, 8, 10, 16, 18, 20, 26]
-    assert oracle.apery_set(sg(2, 3), 2).values() == [0, 3]
+    assert oracle.apery_set(sg(7, 8, 10), 7) == [0, 8, 10, 16, 18, 20, 26]
+    assert oracle.apery_set(sg(2, 3), 2) == [0, 3]
 
 
 def test_apery_needs_member_modulus():
@@ -76,30 +74,28 @@ def test_capacity_refused_before_the_apery_stage(monkeypatch):
         oracle.basic_invariants(sg(1000, 1001), sieve_cap=2000)
 
 
-def drop_residue_one(table: AperyTable) -> AperyTable:
-    return AperyTable(table.modulus, {r: e for r, e in table.elements.items() if r != 1})
-
-
 def test_route_disagreement_raises(monkeypatch):
     real = oracle.apery_set
-    monkeypatch.setattr(oracle, "apery_set", lambda sg, q: drop_residue_one(real(sg, q)))
+    monkeypatch.setattr(oracle, "apery_set", lambda sg, q: [v for v in real(sg, q) if v % q != 1])
     with pytest.raises(RouteDisagreementError):
         oracle.basic_invariants(sg(7, 8, 10))
+
+
+def test_unreached_residue_class_raises():
+    # gcd 2, past the constructor's check: the odd classes mod 4 hold no member
+    even = object.__new__(oracle.GenericSemigroup)
+    object.__setattr__(even, "gens", (4, 6))
+    with pytest.raises(RouteDisagreementError, match="2 residue classes mod 4 never reached"):
+        oracle.apery_set(even, 4)
 
 
 def test_route_disagreement_survives_optimized_mode():
     script = textwrap.dedent(
         """
         from grepunit import oracle
-        from grepunit.apery import AperyTable
 
         real = oracle.apery_set
-
-        def apery_set(sg, q):
-            table = real(sg, q)
-            return AperyTable(table.modulus, {r: e for r, e in table.elements.items() if r != 1})
-
-        oracle.apery_set = apery_set
+        oracle.apery_set = lambda sg, q: [v for v in real(sg, q) if v % q != 1]
         print(__debug__)
         oracle.basic_invariants(oracle.GenericSemigroup((7, 8, 10)))
         """
@@ -114,12 +110,13 @@ def test_route_disagreement_survives_optimized_mode():
     assert "RouteDisagreementError" in proc.stderr
 
 
-def test_oracle_never_imports_closed_form():
+def test_oracle_never_imports_closed_form_or_apery():
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
-            assert not any("closed_form" in name for name in names), ast.unparse(node)
+            for forbidden in ("closed_form", "apery"):
+                assert not any(forbidden in name for name in names), ast.unparse(node)
 
 
 def test_invariants_of_known_semigroups():

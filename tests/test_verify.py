@@ -1,13 +1,16 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grepunit import oracle
-from grepunit.arith import validate
-from grepunit.closed_form import invariant_report
+from grepunit.arith import repunit, validate
+from grepunit.closed_form import frobenius, invariant_report
 from grepunit.errors import RouteDisagreementError
 from grepunit.verify import (
     CHECK_NAMES,
@@ -25,6 +28,26 @@ from grepunit.verify import (
     run_checks,
     sweep,
 )
+
+# off the acceptance grid: b <= 10, n <= 6, multiplicity r_b(n) <= 3000
+SHAPES = [(b, n) for b in range(2, 11) for n in range(2, 7) if repunit(b, n) <= 3000]
+F_MAX = 2 * 10**5  # keeps the affine check's walk up to F + 2m short
+
+
+@st.composite
+def off_grid_params(draw):
+    """Valid triples of SHAPES with a below or above b^n - 1 and F <= F_MAX."""
+    b, n = draw(st.sampled_from(SHAPES))
+    top, m = b**n - 1, repunit(b, n)
+    # F = (n-1)(top - a) + a*m below top and top - a + a*m above; both grow with a
+    below = (F_MAX - (n - 1) * top) // (m - n + 1)
+    above = (F_MAX - top) // (m - 1)
+    sides = [st.integers(1, min(top - 1, below))]
+    if above > top:
+        sides.append(st.integers(top + 1, above))
+    a = draw(st.one_of(sides))
+    assume(math.gcd(a, m) == 1)
+    return validate(a, b, n)
 
 
 def test_all_checks_match_on_golden_point():
@@ -137,6 +160,13 @@ def test_outcome_shape():
     assert row.oracle == 19
     assert row.status == STATUS_MATCH
     assert row.note == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(off_grid_params())
+def test_no_mismatch_off_the_grid(params):
+    assert frobenius(params) <= F_MAX
+    assert [r for r in run_checks(params) if r.status == STATUS_MISMATCH] == []
 
 
 def test_registry_is_the_schema_check_list():
