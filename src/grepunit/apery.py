@@ -9,6 +9,7 @@ sets are plain ascending lists of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -29,7 +30,7 @@ class AperyElement:
 @dataclass(frozen=True)
 class AperyTable:
     """Apéry set of a semigroup with respect to `modulus`, keyed by
-    residue class mod `modulus`."""
+    residue class mod `modulus`; `elements` is a read-only view."""
 
     modulus: int
     elements: Mapping[int, AperyElement]
@@ -56,7 +57,7 @@ class AperyTable:
             )
         if by_residue[0].value != 0:
             raise AssertionError("0 must represent the zero residue class")
-        return cls(modulus, by_residue)
+        return cls(modulus, MappingProxyType(by_residue))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -11,6 +11,7 @@ the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import arith
@@ -61,10 +62,14 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     return out
 
 
+# the apery, homogeneous and recursive checks of one triple share a
+# table, and recursive also needs the triple with n - 1
+@lru_cache(maxsize=2)
 def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperyTable:
     """Apéry set with respect to the multiplicity a_1, built directly:
     one element sum(u_j * a_j) per coefficient tuple, carrying its tuple
-    and its factorization length sum(u_j)."""
+    and its factorization length sum(u_j).  The table is read-only and
+    shared between calls with the same arguments."""
     gens = params.generators()
     elements = []
     for coeffs in coefficient_tuples(params.b, params.n, cap=cap):
@@ -199,15 +204,19 @@ def is_homogeneous(
     return True
 
 
-def affine_closure_ok(
-    params: GrepunitParams, bound: int, member: Callable[[int], bool]
-) -> bool:
-    """Whether the semigroup is closed under x -> b*x + a - (b**n - 1).
+def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:
+    """Whether the semigroup is closed under x -> b*x + shift, where
+    shift = a - (b**n - 1).
 
-    Checks the exact generator identity b*a_j + a - (b**n - 1) == a_{j+1}
-    for j = 1..n-1, then maps every nonzero member up to `bound` and
-    tests membership of the image with `member`, an independent
-    membership test that must answer for every image.
+    Checks the exact generator identity b*a_j + shift == a_{j+1} for
+    j = 1..n-1, then maps every nonzero member of the semigroup at once.
+    `members` is an independent membership table of 0..F, F the
+    Frobenius number: members[y] is 1 iff y is a member, and every y > F
+    is a member.  A member whose image is negative fails the check.  The
+    image of an integer above top = (F - shift) // b exceeds F, so only
+    the members s0..top (s0 the least positive s with a non-negative
+    image) need a look-up: their flags are compared with the strided
+    slice of their images' flags, as two ints.
     """
     b = params.b
     shift = params.a - (b**params.n - 1)
@@ -215,10 +224,17 @@ def affine_closure_ok(
     for j in range(1, params.n):
         if b * gens[j - 1] + shift != gens[j]:
             return False
-    for s in range(1, bound + 1):
-        if member(s) and not member(b * s + shift):
-            return False
-    return True
+    f = len(members) - 1
+    s0 = max(1, -(shift // b))  # least s > 0 whose image is not negative
+    top = (f - shift) // b  # members above top map above F
+    table = members + b"\x01" * (max(s0, top) - f)  # every y > F is a member
+    if table.find(1, 1, s0) >= 0:
+        return False  # a member whose image is negative
+    if top < s0:
+        return True
+    src = table[s0 : top + 1]
+    img = table[b * s0 + shift : b * top + shift + 1 : b]
+    return int.from_bytes(src, "little") & ~int.from_bytes(img, "little") == 0
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Brute-force numerical-semigroup engine used as ground truth.
 
 Everything here works from first definitions, on big-integer bitsets:
-membership by a shift-or closure over the generators, Frobenius number,
-genus and n(S) by bit length and popcount of that mask, Apéry sets as
-ascending lists of ints by Böcker-Lipták round-robin over residue
-classes, pseudo-Frobenius numbers by the generator test on the Apéry set
-cross-checked against the raw definition on the membership mask, and
-factorization length sets from one table of length bitmasks per
-semigroup.  Nothing in this module consults the closed formulas it is
-used to check, nor the Apéry tables they build.
+membership by a shift-or closure over the generators (also handed out
+as one byte per integer), Frobenius number, genus and n(S) by bit length
+and popcount of that mask, Apéry sets as ascending lists of ints by
+Böcker-Lipták round-robin over residue classes, pseudo-Frobenius numbers
+by the generator test on the Apéry set cross-checked against the raw
+definition on the membership mask, and factorization length sets read
+from one slot-packed length table per semigroup, built by the same
+closure with one slot of bits per integer.  Nothing in this module
+consults the closed formulas it is used to check, nor the Apéry tables
+they build.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -77,15 +80,25 @@ def _mask_of(values: list[int]) -> int:
     return int.from_bytes(packed, "little")
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+
+
 def _set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative mask, ascending."""
-    digits = format(mask, "b")
-    top = len(digits) - 1
+    """Positions of the set bits of a non-negative mask, ascending.
+
+    Binary formatting costs a character per bit, so the mask is formatted
+    one run of nonzero bytes at a time: a sparse mask then costs its
+    nonzero bytes, not its bits.
+    """
     out = []
-    i = digits.rfind("1")
-    while i >= 0:
-        out.append(top - i)
-        i = digits.rfind("1", 0, i)
+    for run in _NONZERO_RUN.finditer(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        digits = format(int.from_bytes(run.group(), "little"), "b")
+        top = 8 * run.start() + len(digits) - 1
+        i = digits.rfind("1")
+        while i >= 0:
+            out.append(top - i)
+            i = digits.rfind("1", 0, i)
     return out
 
 
@@ -112,6 +125,15 @@ class MembershipSieve:
 
     def gaps(self) -> list[int]:
         return _set_bits(~self.mask & ((1 << (self.bound + 1)) - 1))
+
+    def flags(self, upto: int) -> bytes:
+        """One byte per integer of 0..upto: 1 for a member, 0 for a gap."""
+        if upto > self.bound:
+            raise CapacityError(f"membership table to {upto} beyond sieve bound {self.bound}")
+        # a sentinel bit above upto keeps the leading zeros; it is the
+        # first digit, which the reversing slice drops
+        digits = format((self.mask & ((1 << (upto + 1)) - 1)) | 1 << (upto + 1), "b")
+        return digits[:0:-1].encode().translate(_DIGIT_BYTES)
 
 
 def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> MembershipSieve:
@@ -276,30 +298,47 @@ def minimal_generators(values) -> list[int]:
     return [v for idx, v in enumerate(vals) if not _closure(vals[:idx], v) >> v & 1]
 
 
+@dataclass(frozen=True)
+class LengthTable:
+    """Factorization lengths of 0..bound, slot-packed: integer x owns
+    bytes x*width .. (x+1)*width - 1 of `packed`, and bit k of that slot
+    (little-endian) is set iff x is a sum of exactly k generators."""
+
+    bound: int
+    width: int
+    packed: bytes = field(repr=False)
+
+    def __getitem__(self, x: int) -> int:
+        if not 0 <= x <= self.bound:
+            raise IndexError(f"length table of 0..{self.bound} has no entry {x}")
+        w = self.width
+        return int.from_bytes(self.packed[x * w : (x + 1) * w], "little")
+
+
 def length_table(
     sg: GenericSemigroup, bound: int, cap: int = DEFAULT_FACTOR_CAP
-) -> list[int]:
-    """Factorization lengths of 0..bound as bitmasks: bit k of entry x is
-    set iff x is a sum of exactly k generators.
+) -> LengthTable:
+    """Factorization lengths of 0..bound, built by one closure.
 
-    Entry x is the union over generators g of entry x - g shifted up one
-    length; folding the generators in one at a time fills it in a single
-    ascending pass each.
+    Each integer gets a slot of w = bound // m // 8 + 1 bytes, m the
+    multiplicity, so bit x*8w + k stands for "x has a factorization of
+    length k".  Adding generator g moves x to x + g and k to k + 1, a
+    shift by g*8w + 1, so the table is the shift-or closure of {0} under
+    those shifts.  A sum of k generators is at least k*m, so a length at
+    x is at most x // m < 8w and never spills into the next slot.
     """
     if bound > cap:
         raise CapacityError(f"factorization target {bound} exceeds cap {cap}")
-    table = [1] + [0] * bound
-    for g in sg.gens:
-        for x in range(g, bound + 1):
-            table[x] |= table[x - g] << 1
-    return table
+    w = bound // sg.multiplicity // 8 + 1
+    bits = _closure([8 * w * g + 1 for g in sg.gens], 8 * w * (bound + 1) - 1)
+    return LengthTable(bound, w, bits.to_bytes(w * (bound + 1), "little"))
 
 
 def length_set(
     sg: GenericSemigroup,
     x: int,
     cap: int = DEFAULT_FACTOR_CAP,
-    table: Optional[list[int]] = None,
+    table: Optional[LengthTable] = None,
 ) -> frozenset[int]:
     """All factorization lengths of x over the generators; empty iff x is
     not a member.

@@ -195,11 +195,9 @@ def _recursive(params, bundle, caps):
 
 
 def _affine(params, bundle, caps):
-    # every integer above the Frobenius number is a member, and the
-    # bundle's sieve covers everything up to it
-    f, sv = bundle.invariants.frobenius, bundle.invariants.sieve
-    member = lambda y: y > f or y in sv
-    result = closed_form.affine_closure_ok(params, f + 2 * params.multiplicity, member)
+    # the bundle's sieve covers 0..F; every integer above F is a member
+    inv = bundle.invariants
+    result = closed_form.affine_closure_ok(params, inv.sieve.flags(inv.frobenius))
     return True, result, result
 
 

@@ -259,3 +259,17 @@ def test_sweep_output_is_pinned(capsys, fmt):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
+
+
+# sha256 of the stdout of `verify -a 59 -b 4 -n 4 --checks all --format json`:
+# m = 85 and a largest Apéry element of 5688 give length-table slots of
+# 9 bytes, so the homogeneous check reads multi-byte slots
+WIDE_SLOT_DIGEST = "154c91828a864ab9a3221e97c79cd42e1f0b791b464617481061f09b978c7c2e"
+
+
+def test_wide_length_slot_output_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "-a", "59", "-b", "4", "-n", "4", "--checks", "all", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SLOT_DIGEST

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,18 +206,47 @@ def test_homogeneous_golden():
     assert closed_form.is_homogeneous(GOLDEN, lengths)
 
 
-def sieve_member(params, bound):
-    """Membership test from an oracle sieve wide enough for every image
-    of the affine map on 0..bound."""
-    sg = oracle.GenericSemigroup.from_values(params.generators())
-    shift = params.a - (params.b**params.n - 1)
-    return oracle.sieve(sg, max(params.b * bound + max(shift, 0), max(sg.gens))).__contains__
+def member_table(params) -> bytes:
+    """Oracle membership flags of 0..F for the semigroup of params."""
+    inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(params.generators()))
+    return inv.sieve.flags(inv.frobenius)
+
+
+def test_apery_table_is_shared_read_only_and_bounded():
+    table = closed_form.apery_set(GOLDEN)
+    assert closed_form.apery_set(GOLDEN) is table
+    with pytest.raises(TypeError):
+        table.elements[0] = table.elements[3]
+    assert closed_form.apery_set.cache_info().maxsize == 2
 
 
 def test_affine_closure_golden():
-    assert closed_form.affine_closure_ok(GOLDEN, bound=500, member=sieve_member(GOLDEN, 500))
+    assert closed_form.affine_closure_ok(GOLDEN, member_table(GOLDEN))
     p = validate(5, 2, 2)
-    assert closed_form.affine_closure_ok(p, bound=60, member=sieve_member(p, 60))
+    assert closed_form.affine_closure_ok(p, member_table(p))
+
+
+def test_affine_closure_fails_when_an_image_is_missing():
+    # shift = 3 - 80: the image of a_1 = 40 is a_2 = 43, a member below F = 351
+    members = bytearray(member_table(GOLDEN))
+    assert members[40] == members[43] == 1
+    members[43] = 0
+    assert not closed_form.affine_closure_ok(GOLDEN, bytes(members))
+
+
+def test_affine_closure_fails_on_a_member_with_negative_image():
+    # 3*25 - 77 < 0: were 25 a member, its image could not be
+    members = bytearray(member_table(GOLDEN))
+    members[25] = 1
+    assert not closed_form.affine_closure_ok(GOLDEN, bytes(members))
+
+
+def test_affine_closure_fails_on_a_broken_generator_identity():
+    p = validate(5, 2, 2)  # <3, 8>, shift 2: 2*3 + 2 == 8
+    members = member_table(p)
+    fake = lambda gens: SimpleNamespace(a=p.a, b=p.b, n=p.n, generators=lambda: gens)
+    assert closed_form.affine_closure_ok(fake([3, 8]), members)
+    assert not closed_form.affine_closure_ok(fake([3, 9]), members)
 
 
 def test_lattice_matrix_golden():

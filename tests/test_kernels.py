@@ -1,10 +1,12 @@
-"""The oracle's bitset kernels against the algorithms they replaced.
+"""The whole-mask kernels against the algorithms they replaced.
 
 The references below are the earlier kernels, kept here only to compare
 against: a byte-per-integer DP sieve, the relaxation Apéry set, the
-O(m^2) scan for maximal Apéry elements and a memoised depth-first
-length-set search.  They must agree with `oracle` on the acceptance grid
-(a 1..60, b 2..5, n 2..5) and on random generating sets, minimal or not.
+O(m^2) scan for maximal Apéry elements, a memoised depth-first
+length-set search, the per-integer length-table DP and the per-integer
+affine closure loop.  They must agree with `oracle` and
+`closed_form.affine_closure_ok` on the acceptance grid (a 1..60,
+b 2..5, n 2..5) and on random generating sets, minimal or not.
 """
 
 import math
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grepunit import oracle
+from grepunit import closed_form, oracle
+from grepunit.arith import validate
+from grepunit.errors import InvalidParametersError
 
 # The depth-first search grows fast with the Apéry elements; on the grid
 # it runs where the multiplicity is at most this (24 (b, n, a) families).
@@ -88,6 +92,36 @@ def dfs_length_set(gens, x: int) -> frozenset[int]:
     return lengths(x, 0)
 
 
+def dp_length_table(gens, bound: int) -> list[int]:
+    """Length bitmasks of 0..bound: bit k of entry x is set iff x is a
+    sum of exactly k gens, one integer and generator at a time."""
+    table = [1] + [0] * bound
+    for g in gens:
+        for x in range(g, bound + 1):
+            table[x] |= table[x - g] << 1
+    return table
+
+
+def bit_positions(mask: int) -> frozenset[int]:
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def loop_affine_ok(params, bound: int, member) -> bool:
+    """Closure under x -> b*x + a - (b**n - 1), one integer at a time:
+    the generator identity, then every member in 1..bound against the
+    membership of its image."""
+    b = params.b
+    shift = params.a - (b**params.n - 1)
+    gens = params.generators()
+    for j in range(1, params.n):
+        if b * gens[j - 1] + shift != gens[j]:
+            return False
+    for s in range(1, bound + 1):
+        if member(s) and not member(b * s + shift):
+            return False
+    return True
+
+
 def check_against_references(gens, length_targets) -> None:
     sg = oracle.GenericSemigroup.from_values(gens)
     m = sg.multiplicity
@@ -114,6 +148,23 @@ def test_kernels_agree_on_the_acceptance_grid(grid):
         check_against_references(params.generators(), lambda apery: apery if small else ())
 
 
+def test_whole_mask_kernels_agree_on_the_acceptance_grid(grid):
+    """Length sets of every Apéry element and the affine check, on all
+    682 valid triples, against the per-integer references."""
+    assert len(grid) == 682
+    for params in grid:
+        sg = oracle.GenericSemigroup.from_values(params.generators())
+        inv = oracle.basic_invariants(sg)
+        table = oracle.length_table(sg, inv.apery[-1], cap=inv.apery[-1])
+        reference = dp_length_table(sg.gens, inv.apery[-1])
+        for w in inv.apery:
+            assert oracle.length_set(sg, w, table=table) == bit_positions(reference[w]), w
+
+        f, sv = inv.frobenius, inv.sieve
+        expected = loop_affine_ok(params, f + 2 * params.multiplicity, lambda y: y > f or y in sv)
+        assert closed_form.affine_closure_ok(params, sv.flags(f)) == expected
+
+
 @st.composite
 def generating_sets(draw):
     """1 to 5 values up to 70 with gcd 1; redundant values are kept."""
@@ -135,6 +186,64 @@ def test_kernels_agree_on_random_generating_sets(values, multiple, data):
     vals = sorted(set(values))
     redundant = [v for i, v in enumerate(vals) if i and dp_members(vals[:i], v)[v]]
     assert oracle.minimal_generators(values) == [v for v in vals if v not in redundant]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_sets(), st.integers(0, 200), st.data())
+def test_slot_packed_length_table_agrees_with_the_dp(values, extra, data):
+    """Bounds from one slot byte per integer up to slots of many bytes."""
+    sg = oracle.GenericSemigroup.from_values(values)
+    m = sg.multiplicity
+    bound = data.draw(st.sampled_from([extra, 8 * m + extra]))
+    table = oracle.length_table(sg, bound, cap=bound)
+    assert table.width == bound // m // 8 + 1
+    reference = dp_length_table(sg.gens, bound)
+    for x in range(bound + 1):
+        assert oracle.length_set(sg, x, table=table) == bit_positions(reference[x]), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_sets(), st.integers(1, 40), st.integers(2, 5), st.integers(2, 4))
+def test_affine_check_agrees_with_the_loop_on_random_semigroups(values, a, b, n):
+    """The family's map against the membership of an unrelated semigroup,
+    so that closure fails as well as holds; shifts of both signs."""
+    try:
+        params = validate(a, b, n)
+    except InvalidParametersError:
+        return
+    inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(values))
+    f, sv = inv.frobenius, inv.sieve
+    shift = a - (b**n - 1)
+    expected = loop_affine_ok(params, f + 1 + abs(shift), lambda y: y > f or y in sv)
+    assert closed_form.affine_closure_ok(params, sv.flags(f)) == expected
+
+
+def digit_positions(mask: int) -> list[int]:
+    """Set bits read off the whole binary string, one character per bit."""
+    return [k for k, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        [],
+        [0],
+        [7, 8],  # a run that crosses a byte boundary
+        list(range(0, 200, 3)),  # dense: one run of many bytes
+        [0, 1 << 16, (1 << 16) + 9, 2_000_000],  # sparse and far past 2^16 bits
+        [5, 300, 301, 70_000] + list(range(100_000, 100_064)),
+    ],
+)
+def test_set_bits_reads_every_run(bits):
+    mask = sum(1 << k for k in bits)
+    assert oracle._set_bits(mask) == digit_positions(mask) == bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1 << 18), max_size=40))
+def test_set_bits_agrees_with_the_digit_string(bits):
+    mask = sum(1 << k for k in set(bits))
+    assert oracle._set_bits(mask) == digit_positions(mask)
 
 
 @pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (7, 8, 10, 15), (5, 7, 9, 11, 13)])

@@ -192,6 +192,15 @@ def test_two_generator_identities(p, q):
     assert oracle.pseudo_frobenius(sg(p, q)) == [p * q - p - q]
 
 
+def test_membership_flags():
+    sv = oracle.basic_invariants(sg(2, 3)).sieve  # gaps: 1
+    assert sv.flags(5) == bytes([1, 0, 1, 1, 1, 1])
+    assert sv.flags(0) == b"\x01"
+    assert sv.flags(-1) == b""
+    with pytest.raises(CapacityError):
+        sv.flags(sv.bound + 1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(2, 60), min_size=2, max_size=4))
 def test_gap_count_matches_gap_list(gens):
