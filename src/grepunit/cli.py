@@ -3,6 +3,9 @@ versus oracle verification, and parameter-grid sweeps.
 
 All emitters are deterministic: stable ordering, no timestamps, run
 metadata confined to a header object (JSON) or header line (text).
+The three JSON documents (report, verify/sweep rows, error) go through
+one writer, `to_json`: two-space indent, ASCII-only with `\\uXXXX`
+escapes, and ints beyond 2**53 written as decimal strings.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from . import __version__
@@ -52,18 +55,40 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def json_ready(value):
-    """Recursively convert ints beyond 2**53 to strings so JSON consumers
-    that parse numbers as doubles keep full precision."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > JSON_SAFE_MAX else value
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    return value
+def to_json(value, indent: str = "") -> str:
+    """JSON text of `value`, byte for byte what the standard `json` module
+    writes with a two-space indent, except that ints beyond 2**53 become
+    decimal strings so consumers that parse numbers as doubles keep full
+    precision.
+
+    Strings go through the C escaper, so non-ASCII text is \\u-escaped.
+    Dispatch is on the exact type: str-keyed dicts, lists, tuples, str,
+    int, bool and None; anything else raises TypeError.
+    """
+    t = type(value)
+    if t is int:
+        return f'"{value}"' if abs(value) > JSON_SAFE_MAX else str(value)
+    if t is str:
+        return _escape(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_escape(k) + ": " + to_json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [to_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
 def csv_cell(value) -> str:
@@ -99,13 +124,13 @@ def parse_checks(text: str) -> tuple[str, ...]:
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise argparse.ArgumentTypeError("no checks given")
-    if "all" in names:
-        return CHECK_NAMES
-    unknown = sorted(set(names) - set(CHECK_NAMES))
+    unknown = sorted(set(names) - set(CHECK_NAMES) - {"all"})
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECK_NAMES)})"
         )
+    if "all" in names:
+        return CHECK_NAMES
     return tuple(c for c in CHECK_NAMES if c in names)
 
 
@@ -134,7 +159,7 @@ def report_doc(report: InvariantReport) -> dict:
 def render_report(report: InvariantReport, fmt: str) -> str:
     doc = report_doc(report)
     if fmt == "json":
-        return json.dumps(json_ready(doc), indent=2) + "\n"
+        return to_json(doc) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -170,7 +195,7 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) ->
             "rows": [vars(r) for r in rows],  # the fields, in declaration order
             "summary": summary,
         }
-        return json.dumps(json_ready(doc), indent=2) + "\n"
+        return to_json(doc) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -209,7 +234,7 @@ def render_failure(args, error_kind: str, exc: Exception) -> None:
             "error": error_kind,
             "message": str(exc),
         }
-        sys.stdout.write(json.dumps(json_ready(doc), indent=2) + "\n")
+        sys.stdout.write(to_json(doc) + "\n")
     else:
         print(f"error: {exc}", file=sys.stderr)
 

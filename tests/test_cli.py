@@ -1,5 +1,6 @@
 """Command-line surface: formats, schemas, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import subprocess
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from grepunit import cli
 from grepunit.cli import (
     EXIT_CAPACITY,
     EXIT_INVALID,
@@ -16,8 +20,8 @@ from grepunit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    json_ready,
     main,
+    to_json,
 )
 from grepunit.errors import RouteDisagreementError
 from grepunit.verify import oracle_bundle
@@ -101,11 +105,74 @@ def test_report_big_integers_become_json_strings(capsys):
     assert doc["params"]["a"] == 1  # small values stay numbers
 
 
-def test_json_ready_thresholds():
-    assert json_ready(2**53) == 2**53
-    assert json_ready(2**53 + 1) == str(2**53 + 1)
-    assert json_ready(-(2**60)) == str(-(2**60))
-    assert json_ready({"x": [True, 7]}) == {"x": [True, 7]}
+def json_ready(value):
+    """Reference: the writer's predecessor, which copied the document with
+    ints beyond 2**53 turned into strings before `json.dumps`."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) > 2**53 else value
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    return value
+
+
+def reference_json(value) -> str:
+    return json.dumps(json_ready(value), indent=2)
+
+
+def test_to_json_thresholds():
+    assert to_json(2**53) == str(2**53)
+    assert to_json(2**53 + 1) == f'"{2**53 + 1}"'
+    assert to_json(-(2**60)) == f'"{-(2**60)}"'
+    assert to_json({"x": [True, 7]}) == json.dumps({"x": [True, 7]}, indent=2)
+    for bad in (1.5, {1, 2}, {1: "non-str key"}):
+        with pytest.raises(TypeError):
+            to_json(bad)
+        with pytest.raises(TypeError):
+            to_json({"x": [7, bad]})
+
+
+json_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 2**53 - 1]),
+    st.integers(min_value=2**60, max_value=2**300),
+    st.integers(min_value=-(2**300), max_value=-(2**60)),
+)
+# st.text() never draws surrogates, so lone ones are added by hand
+json_text = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "\u2028",
+                             "\ud800", "\udfff", "\U0001f600", "a"])),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_text),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"": [], "e": {}, "t": (), "n": [None, True, False, [[]], ({},)]})
+@example(["Ap\u00e9ry", "\ud800", 2**53 + 1, -(2**53) - 1, 10**400])
+def test_to_json_matches_json_dumps_of_json_ready(value):
+    assert to_json(value) == reference_json(value)
+
+
+def test_cli_never_passes_an_indent():
+    # json.dumps(..., indent=...) runs the pure-Python encoder; every
+    # document goes through to_json instead
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            assert not any(kw.arg == "indent" for kw in node.keywords), ast.unparse(node)
 
 
 def test_verify_all_match_exit_0(capsys):
@@ -140,6 +207,8 @@ def test_verify_capacity_exit_3(capsys):
 def test_usage_errors_exit_64(capsys):
     for argv in (
         ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
+        ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],
+        ["sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--checks", "bogus,all"],
         ["sweep", "--a", "x..y", "--b", "2..2", "--n", "2..2"],
         ["sweep", "--a", "3..1", "--b", "2..2", "--n", "2..2"],
         ["sweep", "--a", "1..1", "--b", "1..2", "--n", "2..2"],
@@ -273,3 +342,25 @@ def test_wide_length_slot_output_is_pinned(capsys):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SLOT_DIGEST
+
+
+# sha256 and exit code of JSON documents that the sweep pins never reach:
+# ints beyond 2**53, the oracle report, the error document, and null
+# values with notes
+DOCUMENT_PINS = {
+    ("report", "-a", "1", "-b", "2", "-n", "60", "--format", "json"):
+        ("c003dbf3d1b1f0621bbeb27aba9683e05ed80d0bbc20a0c547c97733848e29af", EXIT_OK),
+    ("report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--format", "json"):
+        ("59a50e090b7b6209bd9396d6d605e4e155d2d82f0065ec368c629474777c5358", EXIT_OK),
+    ("report", "-a", "5", "-b", "2", "-n", "4", "--format", "json"):
+        ("d8928a18d2066805d524ed9d957da1e7f07f9d86300615c135806bedc6f4fe31", EXIT_INVALID),
+    ("verify", "-a", "3", "-b", "3", "-n", "4", "--checks", "apery,homogeneous", "--cap", "10",
+     "--format", "json"):
+        ("1ec1ab12d9c2e075ffe7596f25ab43cae295bcad72e34b8d1758fa16b517a1be", EXIT_CAPACITY),
+}
+
+
+@pytest.mark.parametrize("argv", list(DOCUMENT_PINS), ids=" ".join)
+def test_json_document_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == DOCUMENT_PINS[argv]
