@@ -7,8 +7,7 @@ structure) has a closed formula here, plus an independent brute-force
 engine to verify it against.
 """
 
-from .apery import AperyElement, AperyTable
-from .arith import GrepunitParams, generators, repunit, validate
+from .arith import GrepunitParams, repunit, validate
 from .closed_form import (
     InvariantReport,
     apery_maximals,
@@ -42,8 +41,6 @@ from .verify import CHECK_NAMES, Caps, SweepSpec, VerifyOutcome, run_check, run_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyElement",
-    "AperyTable",
     "CHECK_NAMES",
     "CapacityError",
     "Caps",
@@ -67,7 +64,6 @@ __all__ = [
     "apery_sum_coefficients",
     "coefficient_tuples",
     "frobenius",
-    "generators",
     "genus",
     "invariant_report",
     "is_homogeneous",

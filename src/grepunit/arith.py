@@ -78,11 +78,6 @@ def validate(a: int, b: int, n: int) -> GrepunitParams:
     return GrepunitParams(a, b, n)
 
 
-def generators(params: GrepunitParams) -> list[int]:
-    """Minimal generating set of the semigroup, ascending."""
-    return params.generators()
-
-
 def relation_holds(params: GrepunitParams, i: int, j: int) -> bool:
     """Whether b*a_i + a_{i+j} == b*a_{i+j-1} + a_{i+1} (i, j >= 1).
 

@@ -2,10 +2,10 @@
 numerical semigroups.
 
 Every function here evaluates a formula or an explicit construction in
-O(n)-ish exact integer arithmetic (the Apéry enumerations are the lone
-exception, sized by the multiplicity).  The brute-force engine in
-`oracle` recomputes the same invariants from definitions; `verify` pits
-the two against each other.
+O(n)-ish exact integer arithmetic (the Apéry enumerations, two parallel
+tuples of values and lengths, are the lone exception, sized by the
+multiplicity).  The brute-force engine in `oracle` recomputes the same
+invariants from definitions; `verify` pits the two against each other.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from . import arith
-from .apery import AperyElement, AperyTable
 from .arith import GrepunitParams, repunit
 from .errors import (
     CapacityError,
@@ -25,6 +23,12 @@ from .errors import (
 )
 
 DEFAULT_APERY_CAP = 10**6
+AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
+
+
+def _check_cap(m: int, cap: Optional[int]) -> None:
+    if cap is not None and m > cap:
+        raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
 
 
 def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -40,8 +44,7 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
     count = repunit(b, i)
-    if cap is not None and count > cap:
-        raise CapacityError(f"{count} coefficient tuples exceed cap {cap}")
+    _check_cap(count, cap)
 
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -62,20 +65,43 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     return out
 
 
+def _extend(values: list[int], lengths: list[int], g: int, b: int) -> tuple[list[int], list[int]]:
+    """Append a coefficient u of the generator g to every coefficient
+    tuple: each tuple takes u = 0..b-1, and the all-zero tuple, always
+    first, also takes u = b, which lands at index b."""
+    steps = [u * g for u in range(b)]
+    values = [v + s for v in values for s in steps]
+    lengths = [k + u for k in lengths for u in range(b)]
+    values.insert(b, b * g)
+    lengths.insert(b, b)
+    return values, lengths
+
+
+def _residue_system(m: int, values: list[int], lengths: list[int]) -> AperySet:
+    """(values, lengths) as tuples, once the values are found to be m
+    integers, 0 among them, one per residue class mod m: a construction
+    that repeats or misses a class is wrong, and fails loudly."""
+    hit = bytearray(m)
+    for v in values:
+        hit[v % m] = 1
+    if len(values) != m or 0 not in values or hit.count(0):
+        raise RouteDisagreementError(f"{len(values)} values, not a residue system mod {m} with 0")
+    return tuple(values), tuple(lengths)
+
+
 # the apery, homogeneous and recursive checks of one triple share a
-# table, and recursive also needs the triple with n - 1
+# result, and recursive also needs the triple with n - 1
 @lru_cache(maxsize=2)
-def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperyTable:
-    """Apéry set with respect to the multiplicity a_1, built directly:
-    one element sum(u_j * a_j) per coefficient tuple, carrying its tuple
-    and its factorization length sum(u_j).  The table is read-only and
-    shared between calls with the same arguments."""
-    gens = params.generators()
-    elements = []
-    for coeffs in coefficient_tuples(params.b, params.n, cap=cap):
-        value = sum(u * g for u, g in zip(coeffs, gens[1:]))
-        elements.append(AperyElement(value, coeffs, sum(coeffs)))
-    return AperyTable.build(gens[0], elements)
+def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
+    """Apéry set with respect to the multiplicity a_1, built directly one
+    generator a_j at a time: the value sum(u_j * a_j) and factorization
+    length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
+    order.  Calls with the same arguments share one read-only result."""
+    _check_cap(params.multiplicity, cap)
+    values, lengths = [0], [0]
+    for g in params.generators()[1:]:
+        values, lengths = _extend(values, lengths, g, params.b)
+    return _residue_system(params.multiplicity, values, lengths)
 
 
 def frobenius(params: GrepunitParams) -> int:
@@ -123,12 +149,6 @@ def apery_sum(params: GrepunitParams) -> int:
     return sum(c * g for c, g in zip(apery_sum_coefficients(params.b, params.n), gens[1:]))
 
 
-def length_sum(b: int, i: int) -> int:
-    """Sum of tuple lengths sum(u_j) over all coefficient tuples of
-    (b, i), in closed form."""
-    return sum(apery_sum_coefficients(b, i))
-
-
 def pseudo_frobenius(params: GrepunitParams) -> list[int]:
     """Pseudo-Frobenius numbers {(n-i+1)*(b**n - 1 - a) + a*a_1 : i=2..n},
     ascending; always n-1 distinct values, the largest being the
@@ -159,13 +179,15 @@ def apery_maximals(params: GrepunitParams) -> list[int]:
 
 def apery_set_recursive(
     prev: GrepunitParams, params: GrepunitParams, cap: int = DEFAULT_APERY_CAP
-) -> AperyTable:
-    """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1).
+) -> AperySet:
+    """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1), in
+    the order of `apery_set`.
 
-    Each element w' of the smaller table, of length m, lifts to
-    w' + b**(n-1)*m + u*a_n for u = 0..b-1; the single extra element is
-    b*a_n.  Both parameter triples must be valid; there is no fallback to
-    direct enumeration when the smaller one is not.
+    Each element w of the smaller set, of length k, lifts to
+    w + b**(n-1)*k + u*a_n of length k + u for u = 0..b-1; the single
+    extra element is b*a_n, of length b.  Both parameter triples must be
+    valid; there is no fallback to direct enumeration when the smaller
+    one is not.
     """
     if params.n < 3:
         raise ValueError(f"recursive construction needs n >= 3, got {params.n}")
@@ -174,20 +196,12 @@ def apery_set_recursive(
             f"expected previous triple (a={params.a}, b={params.b}, n={params.n - 1}), "
             f"got (a={prev.a}, b={prev.b}, n={prev.n})"
         )
-    base = apery_set(prev, cap=cap)
-    gens = params.generators()
-    a_n = gens[-1]
+    _check_cap(params.multiplicity, cap)
+    values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
-    zeros = (0,) * (params.n - 2)
-    elements = [AperyElement(params.b * a_n, zeros + (params.b,), params.b)]
-    for elt in base.elements.values():
-        for u in range(params.b):
-            coeffs = elt.coeffs + (u,)
-            value = elt.value + shift * elt.length + u * a_n
-            if value != sum(c * g for c, g in zip(coeffs, gens[1:])):
-                raise RouteDisagreementError(f"lifted value {value} disagrees with tuple {coeffs}")
-            elements.append(AperyElement(value, coeffs, elt.length + u))
-    return AperyTable.build(gens[0], elements)
+    values = [v + shift * k for v, k in zip(values, lengths)]
+    values, lengths = _extend(values, lengths, params.generators()[-1], params.b)
+    return _residue_system(params.multiplicity, values, lengths)
 
 
 def is_homogeneous(
@@ -198,10 +212,8 @@ def is_homogeneous(
     """Whether every Apéry element's full length set (as reported by the
     supplied independent oracle) is the singleton predicted by its
     coefficient tuple."""
-    for elt in apery_set(params, cap=cap).elements.values():
-        if set(length_sets(elt.value)) != {elt.length}:
-            return False
-    return True
+    values, lengths = apery_set(params, cap=cap)
+    return all(set(length_sets(w)) == {k} for w, k in zip(values, lengths))
 
 
 def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:

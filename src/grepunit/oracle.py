@@ -9,7 +9,7 @@ by the generator test on the Apéry set cross-checked against the raw
 definition on the membership mask, and factorization length sets read
 from one slot-packed length table per semigroup, built by the same
 closure with one slot of bits per integer.  Nothing in this module
-consults the closed formulas it is used to check, nor the Apéry tables
+consults the closed formulas it is used to check, nor the Apéry sets
 they build.
 """
 
@@ -122,9 +122,6 @@ class MembershipSieve:
         if x > self.bound:
             raise CapacityError(f"membership query {x} beyond sieve bound {self.bound}")
         return bool(self.bits[x >> 3] >> (x & 7) & 1)
-
-    def gaps(self) -> list[int]:
-        return _set_bits(~self.mask & ((1 << (self.bound + 1)) - 1))
 
     def flags(self, upto: int) -> bytes:
         """One byte per integer of 0..upto: 1 for a member, 0 for a gap."""

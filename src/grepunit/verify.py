@@ -134,7 +134,7 @@ def _genus(params, bundle, caps):
 
 
 def _apery(params, bundle, caps):
-    closed_values = closed_form.apery_set(params, cap=caps.apery).values()
+    closed_values = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
     oracle_values = bundle.invariants.apery
     sum_formula = closed_form.apery_sum(params)
     matched = closed_values == oracle_values and sum_formula == sum(oracle_values)
@@ -189,8 +189,8 @@ def _recursive(params, bundle, caps):
         prev = validate(params.a, params.b, params.n - 1)
     except InvalidParametersError as exc:
         raise _Unsupported(f"smaller triple invalid: {exc}")
-    direct = closed_form.apery_set(params, cap=caps.apery).values()
-    lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery).values()
+    direct = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
+    lifted = sorted(closed_form.apery_set_recursive(prev, params, cap=caps.apery)[0])
     return _digest(direct), _digest(lifted), direct == lifted
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from grepunit.arith import (
     GrepunitParams,
     extension_holds,
-    generators,
     relation_holds,
     repunit,
     validate,
@@ -51,7 +50,6 @@ def test_repunit_rejects_bad_args():
 def test_generators_golden():
     p = validate(3, 3, 4)
     assert p.generators() == [40, 43, 52, 79]
-    assert generators(p) == [40, 43, 52, 79]
     assert p.multiplicity == 40
 
 

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import grepunit
 from grepunit import closed_form, oracle
 from grepunit.arith import extension_holds, relation_holds, repunit, validate
 from grepunit.closed_form import LatticeMatrix
@@ -21,6 +22,7 @@ from grepunit.errors import (
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
+from grepunit.verify import run_check
 
 GOLDEN = validate(3, 3, 4)  # generators <40, 43, 52, 79>
 
@@ -70,31 +72,75 @@ def test_coefficient_tuples_cap_and_args():
 
 
 def test_apery_set_golden():
-    table = closed_form.apery_set(GOLDEN)
-    assert table.values() == GOLDEN_APERY
-    assert len(table) == GOLDEN.multiplicity
-    assert table.total() == 7980
-    assert table.values()[-1] == 391
+    values, lengths = closed_form.apery_set(GOLDEN)
+    assert sorted(values) == GOLDEN_APERY
+    assert len(values) == len(lengths) == GOLDEN.multiplicity
+    assert sum(values) == 7980
+    assert max(values) == 391
 
 
 def test_apery_set_smallest():
     # <3, 4>: the nonzero classes mod 3 are reached by 4 and 8
-    table = closed_form.apery_set(validate(1, 2, 2))
-    assert table.values() == [0, 4, 8]
+    values, _ = closed_form.apery_set(validate(1, 2, 2))
+    assert sorted(values) == [0, 4, 8]
 
 
 def test_apery_set_three_generators():
     # <7, 8, 10>: least member of each class mod 7
-    table = closed_form.apery_set(validate(1, 2, 3))
-    assert table.values() == [0, 8, 10, 16, 18, 20, 26]
-    assert table.total() == 98
+    values, _ = closed_form.apery_set(validate(1, 2, 3))
+    assert sorted(values) == [0, 8, 10, 16, 18, 20, 26]
+    assert sum(values) == 98
 
 
-def test_apery_elements_carry_their_factorization():
-    gens = GOLDEN.generators()
-    for elt in closed_form.apery_set(GOLDEN).elements.values():
-        assert elt.value == sum(u * g for u, g in zip(elt.coeffs, gens[1:]))
-        assert elt.length == sum(elt.coeffs)
+def test_apery_elements_carry_their_factorization(grid):
+    tuples = {}
+    for p in grid + [validate(1, 10, 5)]:
+        if (p.b, p.n) not in tuples:
+            tuples[p.b, p.n] = closed_form.coefficient_tuples(p.b, p.n)
+        gens = p.generators()[1:]
+        expected_values = tuple(sum(u * g for u, g in zip(t, gens)) for t in tuples[p.b, p.n])
+        expected_lengths = tuple(map(sum, tuples[p.b, p.n]))
+        assert closed_form.apery_set(p) == (expected_values, expected_lengths), p
+
+
+def test_residue_check_accepts_full_residue_system():
+    closed_form._residue_system(3, [0, 7, 8], [])
+    closed_form._residue_system(4, [9, 0, 18, 27], [])
+
+
+def test_residue_check_rejects_duplicate_residue():
+    with pytest.raises(RouteDisagreementError):
+        closed_form._residue_system(3, [0, 7, 10], [])
+
+
+def test_residue_check_rejects_wrong_count():
+    with pytest.raises(RouteDisagreementError):
+        closed_form._residue_system(3, [0, 7], [])
+    with pytest.raises(RouteDisagreementError):
+        closed_form._residue_system(3, [0, 7, 8, 9], [])
+
+
+def test_residue_check_rejects_nonzero_class_zero():
+    with pytest.raises(RouteDisagreementError):
+        closed_form._residue_system(3, [3, 7, 8], [])
+
+
+def colliding(params):
+    """Stand-in for params whose a_2 is a multiple of the multiplicity, so
+    every value the builder makes falls in residue class 0."""
+    gens = params.generators()
+    gens[1] = 2 * gens[0]
+    return SimpleNamespace(b=params.b, n=params.n, multiplicity=gens[0], generators=lambda: gens)
+
+
+def test_broken_construction_is_a_mismatch_row(monkeypatch):
+    build = closed_form.apery_set.__wrapped__
+    with pytest.raises(RouteDisagreementError):
+        build(colliding(GOLDEN))
+    monkeypatch.setattr(closed_form, "apery_set", lambda params, cap: build(colliding(params), cap))
+    row = run_check(GOLDEN, "apery")
+    assert (row.closed, row.oracle, row.status) == (None, None, "mismatch")
+    assert "not a residue system mod 40 with 0" in row.note
 
 
 def test_frobenius_golden_and_branches():
@@ -127,25 +173,24 @@ def test_two_generator_formulas():
 def test_apery_sum_coefficients_golden():
     assert closed_form.apery_sum_coefficients(3, 4) == [54, 45, 42]
     assert closed_form.apery_sum(GOLDEN) == 7980
-    assert closed_form.length_sum(3, 4) == 54 + 45 + 42
 
 
 def test_apery_sum_smallest_cases():
     assert closed_form.apery_sum(validate(1, 2, 3)) == 98
-    assert closed_form.length_sum(2, 2) == 3
-    assert closed_form.length_sum(2, 3) == 11
+    assert sum(closed_form.apery_sum_coefficients(2, 2)) == 3
+    assert sum(closed_form.apery_sum_coefficients(2, 3)) == 11
 
 
 def test_length_sum_matches_enumeration():
     for b, i in ((2, 3), (3, 3), (4, 2), (2, 5)):
         tuples = closed_form.coefficient_tuples(b, i)
-        assert closed_form.length_sum(b, i) == sum(sum(t) for t in tuples)
+        assert sum(closed_form.apery_sum_coefficients(b, i)) == sum(sum(t) for t in tuples)
 
 
 def test_apery_sum_matches_enumeration():
     for a, b, n in ((1, 2, 4), (7, 3, 3), (11, 5, 2)):
         p = validate(a, b, n)
-        assert closed_form.apery_sum(p) == closed_form.apery_set(p).total()
+        assert closed_form.apery_sum(p) == sum(closed_form.apery_set(p)[0])
 
 
 def test_pseudo_frobenius_golden():
@@ -188,7 +233,7 @@ def test_recursive_apery_matches_direct():
         prev = validate(a, b, n - 1)
         direct = closed_form.apery_set(p)
         lifted = closed_form.apery_set_recursive(prev, p)
-        assert lifted.values() == direct.values()
+        assert lifted == direct
 
 
 def test_recursive_apery_argument_checks():
@@ -198,6 +243,16 @@ def test_recursive_apery_argument_checks():
         closed_form.apery_set_recursive(validate(1, 2, 2), validate(1, 2, 4))
     with pytest.raises(ValueError):
         closed_form.apery_set_recursive(validate(2, 3, 2), validate(1, 3, 3))
+
+
+def test_recursive_apery_respects_cap(monkeypatch):
+    # the smaller triple (m = 11111) fits the cap; the lifted one (m = 111111) does not
+    def refuse(params, cap):
+        pytest.fail("the lift built its base before checking its own size")
+
+    monkeypatch.setattr(closed_form, "apery_set", refuse)
+    with pytest.raises(CapacityError, match="111111 coefficient tuples exceed cap 50000"):
+        closed_form.apery_set_recursive(validate(1, 10, 5), validate(1, 10, 6), cap=50000)
 
 
 def test_homogeneous_golden():
@@ -213,11 +268,15 @@ def member_table(params) -> bytes:
 
 
 def test_apery_table_is_shared_read_only_and_bounded():
-    table = closed_form.apery_set(GOLDEN)
-    assert closed_form.apery_set(GOLDEN) is table
-    with pytest.raises(TypeError):
-        table.elements[0] = table.elements[3]
+    result = closed_form.apery_set(GOLDEN)
+    assert closed_form.apery_set(GOLDEN) is result
+    assert [type(part) for part in result] == [tuple, tuple]
     assert closed_form.apery_set.cache_info().maxsize == 2
+
+
+def test_every_exported_name_resolves():
+    for name in grepunit.__all__:
+        assert hasattr(grepunit, name), name
 
 
 def test_affine_closure_golden():
