@@ -1,44 +1,13 @@
-"""Apéry table container invariants."""
+"""One Apéry element of the closed form, read off its coefficient tuple."""
 
-import pytest
-
-from grepunit.apery import AperyElement, AperyTable
-
-
-def table_for(modulus, values):
-    # the container checks values only; the factorization fields are placeholders
-    return AperyTable.build(modulus, [AperyElement(v, coeffs=(), length=0) for v in values])
-
-
-def test_build_accepts_full_residue_system():
-    t = table_for(3, [0, 7, 8])
-    assert len(t) == 3
-    assert t.values() == [0, 7, 8]
-    assert t.total() == 15
-
-
-def test_values_come_back_sorted():
-    t = table_for(4, [9, 0, 18, 27])
-    assert t.values() == [0, 9, 18, 27]
-
-
-def test_build_rejects_duplicate_residue():
-    with pytest.raises(AssertionError):
-        table_for(3, [0, 7, 10])
-
-
-def test_build_rejects_wrong_count():
-    with pytest.raises(AssertionError):
-        table_for(3, [0, 7])
-
-
-def test_build_rejects_nonzero_class_zero():
-    with pytest.raises(AssertionError):
-        table_for(3, [3, 7, 8])
+from grepunit import closed_form
+from grepunit.arith import validate
 
 
 def test_element_records_coefficients_and_length():
-    e = AperyElement(43, coeffs=(1, 0, 0), length=1)
-    assert e.value == 43
-    assert e.coeffs == (1, 0, 0)
-    assert e.length == 1
+    # generators <40, 43, 52, 79>: the tuple (1, 0, 0) is one copy of 43
+    params = validate(3, 3, 4)
+    values, lengths = closed_form.apery_set(params)
+    i = closed_form.coefficient_tuples(params.b, params.n).index((1, 0, 0))
+    assert values[i] == 43
+    assert lengths[i] == 1
