@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Mapping, Optional
 
 from .arith import GrepunitParams, repunit
 from .errors import (
@@ -206,14 +206,17 @@ def apery_set_recursive(
 
 def is_homogeneous(
     params: GrepunitParams,
-    length_sets: Callable[[int], frozenset[int]],
+    length_masks: Mapping[int, int],
     cap: int = DEFAULT_APERY_CAP,
 ) -> bool:
-    """Whether every Apéry element's full length set (as reported by the
-    supplied independent oracle) is the singleton predicted by its
-    coefficient tuple."""
+    """Whether every Apéry element's full set of factorization lengths
+    is the singleton predicted by its coefficient tuple.
+
+    `length_masks` comes from an independent oracle and maps each Apéry
+    element w to its length mask: bit k set iff w is a sum of exactly k
+    generators.  An element missing from it fails the check."""
     values, lengths = apery_set(params, cap=cap)
-    return all(set(length_sets(w)) == {k} for w, k in zip(values, lengths))
+    return all(length_masks.get(w) == 1 << k for w, k in zip(values, lengths))
 
 
 def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:

@@ -55,7 +55,8 @@ class UnsupportedDimensionError(GrepunitError):
 
 
 class CapacityError(GrepunitError):
-    """An enumeration, sieve or factorization exceeded its configured cap."""
+    """An Apéry enumeration or a membership sieve exceeded its configured
+    cap, or a membership lookup went beyond its sieve's bound."""
 
 
 class RouteDisagreementError(GrepunitError, AssertionError):

@@ -6,11 +6,11 @@ as one byte per integer), Frobenius number, genus and n(S) by bit length
 and popcount of that mask, Apéry sets as ascending lists of ints by
 Böcker-Lipták round-robin over residue classes, pseudo-Frobenius numbers
 by the generator test on the Apéry set cross-checked against the raw
-definition on the membership mask, and factorization length sets read
-from one slot-packed length table per semigroup, built by the same
-closure with one slot of bits per integer.  Nothing in this module
-consults the closed formulas it is used to check, nor the Apéry sets
-they build.
+definition on the membership mask, and the factorization lengths of
+the Apéry elements by one ascending pass over the Apéry list, each
+element's lengths read off those of the elements one generator below
+it.  Nothing in this module consults the closed formulas it is used to
+check, nor the Apéry sets they build.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Optional
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 DEFAULT_SIEVE_CAP = 10**8
-DEFAULT_FACTOR_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -187,6 +186,7 @@ class SemigroupInvariants:
 
     semigroup: GenericSemigroup
     apery: list[int]  # Ap(S, m), ascending
+    apery_mask: int = field(repr=False)  # bit w set iff w is in Ap(S, m)
     sieve: MembershipSieve
     frobenius: int
     genus: int
@@ -230,11 +230,12 @@ def basic_invariants(
 
     # Apéry vs sieve agreement: the set holds exactly the members whose
     # predecessor in their class is a gap.
-    if _mask_of(ap) != sv.mask & ~(sv.mask << m):
+    ap_mask = _mask_of(ap)
+    if ap_mask != sv.mask & ~(sv.mask << m):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
     n_below = (sv.mask & ((1 << max(f_sieve, 0)) - 1)).bit_count()
-    return SemigroupInvariants(sg, ap, sv, f_sieve, g_sieve, n_below)
+    return SemigroupInvariants(sg, ap, ap_mask, sv, f_sieve, g_sieve, n_below)
 
 
 def frobenius(sg: GenericSemigroup) -> int:
@@ -262,10 +263,9 @@ def pseudo_frobenius(
     """
     if inv is None:
         inv = basic_invariants(sg)
-    ap_mask = _mask_of(inv.apery)
-    maximal = ap_mask
+    maximal = inv.apery_mask
     for g in sg.gens[1:]:
-        maximal &= ~(ap_mask >> g)
+        maximal &= ~(inv.apery_mask >> g)
     pf = [w - sg.multiplicity for w in _set_bits(maximal)]
 
     s = inv.sieve.mask
@@ -295,59 +295,36 @@ def minimal_generators(values) -> list[int]:
     return [v for idx, v in enumerate(vals) if not _closure(vals[:idx], v) >> v & 1]
 
 
-@dataclass(frozen=True)
-class LengthTable:
-    """Factorization lengths of 0..bound, slot-packed: integer x owns
-    bytes x*width .. (x+1)*width - 1 of `packed`, and bit k of that slot
-    (little-endian) is set iff x is a sum of exactly k generators."""
+def apery_lengths(sg: GenericSemigroup, apery: list[int]) -> list[int]:
+    """Factorization-length masks of the Apéry elements of the
+    multiplicity m, in the order of `apery` (Ap(S, m), ascending): bit k of
+    a mask is set iff the element is a sum of exactly k generators.
 
-    bound: int
-    width: int
-    packed: bytes = field(repr=False)
-
-    def __getitem__(self, x: int) -> int:
-        if not 0 <= x <= self.bound:
-            raise IndexError(f"length table of 0..{self.bound} has no entry {x}")
-        w = self.width
-        return int.from_bytes(self.packed[x * w : (x + 1) * w], "little")
-
-
-def length_table(
-    sg: GenericSemigroup, bound: int, cap: int = DEFAULT_FACTOR_CAP
-) -> LengthTable:
-    """Factorization lengths of 0..bound, built by one closure.
-
-    Each integer gets a slot of w = bound // m // 8 + 1 bytes, m the
-    multiplicity, so bit x*8w + k stands for "x has a factorization of
-    length k".  Adding generator g moves x to x + g and k to k + 1, a
-    shift by g*8w + 1, so the table is the shift-or closure of {0} under
-    those shifts.  A sum of k generators is at least k*m, so a length at
-    x is at most x // m < 8w and never spills into the next slot.
+    No factorization of w in Ap(S, m) uses m, and for a generator g,
+    w - g in S forces w - g in Ap(S, m) (else w - m would be a member).
+    So L(w) is the union over g != m with w - g in Ap(S, m) of L(w - g)
+    shifted by one, read through a residue-indexed position table in one
+    ascending pass: O(e*m) time and O(m) memory.
     """
-    if bound > cap:
-        raise CapacityError(f"factorization target {bound} exceeds cap {cap}")
-    w = bound // sg.multiplicity // 8 + 1
-    bits = _closure([8 * w * g + 1 for g in sg.gens], 8 * w * (bound + 1) - 1)
-    return LengthTable(bound, w, bits.to_bytes(w * (bound + 1), "little"))
-
-
-def length_set(
-    sg: GenericSemigroup,
-    x: int,
-    cap: int = DEFAULT_FACTOR_CAP,
-    table: Optional[LengthTable] = None,
-) -> frozenset[int]:
-    """All factorization lengths of x over the generators; empty iff x is
-    not a member.
-
-    Read from `table`, a `length_table` of sg reaching x, when given, and
-    otherwise from a fresh table up to x.
-    """
-    if x < 0:
-        raise ValueError(f"need x >= 0, got {x}")
-    if table is None:
-        table = length_table(sg, x, cap)
-    return frozenset(_set_bits(table[x]))
+    m = sg.multiplicity
+    position = [0] * m  # residue mod m -> index of its Apéry element
+    for i, w in enumerate(apery):
+        position[w % m] = i
+    masks = [1] + [0] * (len(apery) - 1)
+    others = sg.gens[1:]
+    for i in range(1, len(apery)):
+        w = apery[i]
+        mask = 0
+        for g in others:
+            if g > w:
+                break
+            j = position[(w - g) % m]
+            if apery[j] == w - g:
+                mask |= masks[j]
+        if not mask:
+            raise RouteDisagreementError(f"Apéry element {w} is no sum of the generators")
+        masks[i] = mask << 1
+    return masks
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class Caps:
 
     apery: int = closed_form.DEFAULT_APERY_CAP
     sieve: int = oracle.DEFAULT_SIEVE_CAP
-    factor: int = oracle.DEFAULT_FACTOR_CAP
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,10 @@ def _genus(params, bundle, caps):
 def _apery(params, bundle, caps):
     closed_values = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
     oracle_values = bundle.invariants.apery
-    sum_formula = closed_form.apery_sum(params)
-    matched = closed_values == oracle_values and sum_formula == sum(oracle_values)
-    return _digest(closed_values), _digest(oracle_values), matched
+    same = closed_values == oracle_values
+    matched = same and closed_form.apery_sum(params) == sum(oracle_values)
+    digest = _digest(closed_values)
+    return digest, digest if same else _digest(oracle_values), matched
 
 
 def _pf(params, bundle, caps):
@@ -150,15 +150,13 @@ def _type(params, bundle, caps):
 
 
 def _homogeneous(params, bundle, caps):
-    max_value = bundle.invariants.apery[-1]
-    if max_value > caps.factor:
-        raise CapacityError(
-            f"largest Apéry element {max_value} exceeds factorization cap {caps.factor}"
-        )
-    sg = bundle.semigroup
-    table = oracle.length_table(sg, max_value, cap=caps.factor)
-    length_sets = lambda x: oracle.length_set(sg, x, table=table)
-    result = closed_form.is_homogeneous(params, length_sets, cap=caps.apery)
+    # the closed side refuses a multiplicity over the cap before the
+    # oracle pass; is_homogeneous then reads the same cached set
+    closed_form.apery_set(params, cap=caps.apery)
+    # the masks are built here, not in the bundle: no other check reads them
+    apery = bundle.invariants.apery
+    masks = dict(zip(apery, oracle.apery_lengths(bundle.semigroup, apery)))
+    result = closed_form.is_homogeneous(params, masks, cap=caps.apery)
     return True, result, result
 
 
@@ -189,9 +187,14 @@ def _recursive(params, bundle, caps):
         prev = validate(params.a, params.b, params.n - 1)
     except InvalidParametersError as exc:
         raise _Unsupported(f"smaller triple invalid: {exc}")
-    direct = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
-    lifted = sorted(closed_form.apery_set_recursive(prev, params, cap=caps.apery)[0])
-    return _digest(direct), _digest(lifted), direct == lifted
+    direct = closed_form.apery_set(params, cap=caps.apery)
+    lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery)
+    # both come in coefficient-tuple order, so the (values, lengths)
+    # tuples compare as they are, lengths included
+    if direct == lifted:
+        digest = _digest(sorted(direct[0]))
+        return digest, digest, True
+    return _digest(sorted(direct[0])), _digest(sorted(lifted[0])), False
 
 
 def _affine(params, bundle, caps):

@@ -91,13 +91,9 @@ def test_criterion_04_selmer_consistency(announce, grid):
 
 
 def test_criterion_05_homogeneity(announce, grid):
-    with announce(5, "homogeneity via oracle length sets (a_1 <= 200)"):
-        points = [p for p in grid if p.multiplicity <= 200]
-        assert points
-        worst = max(closed_form.frobenius(p) + p.multiplicity for p in points)
-        caps = Caps(factor=worst)
-        for p in points:
-            row = run_check(p, "homogeneous", caps)
+    with announce(5, "homogeneity via oracle Apéry length masks (whole grid)"):
+        for p in grid:
+            row = run_check(p, "homogeneous")
             assert row.status == "match", f"(a={p.a}, b={p.b}, n={p.n}): {row}"
             assert row.oracle is True
 

@@ -331,8 +331,8 @@ def test_sweep_output_is_pinned(capsys, fmt):
 
 
 # sha256 of the stdout of `verify -a 59 -b 4 -n 4 --checks all --format json`:
-# m = 85 and a largest Apéry element of 5688 give length-table slots of
-# 9 bytes, so the homogeneous check reads multi-byte slots
+# m = 85 and a largest Apéry element of 5688, whose length mask has bit 10
+# set, so the homogeneous check compares masks wider than one byte
 WIDE_SLOT_DIGEST = "154c91828a864ab9a3221e97c79cd42e1f0b791b464617481061f09b978c7c2e"
 
 

@@ -257,8 +257,14 @@ def test_recursive_apery_respects_cap(monkeypatch):
 
 def test_homogeneous_golden():
     sg = oracle.GenericSemigroup.from_values(GOLDEN.generators())
-    lengths = lambda x: oracle.length_set(sg, x)
-    assert closed_form.is_homogeneous(GOLDEN, lengths)
+    apery = oracle.basic_invariants(sg).apery
+    masks = dict(zip(apery, oracle.apery_lengths(sg, apery)))
+    assert closed_form.is_homogeneous(GOLDEN, masks)
+
+    # a second length planted on one element breaks homogeneity
+    planted = dict(masks)
+    planted[apery[-1]] |= planted[apery[-1]] << 1
+    assert not closed_form.is_homogeneous(GOLDEN, planted)
 
 
 def member_table(params) -> bytes:

@@ -3,10 +3,11 @@
 The references below are the earlier kernels, kept here only to compare
 against: a byte-per-integer DP sieve, the relaxation Apéry set, the
 O(m^2) scan for maximal Apéry elements, a memoised depth-first
-length-set search, the per-integer length-table DP and the per-integer
-affine closure loop.  They must agree with `oracle` and
-`closed_form.affine_closure_ok` on the acceptance grid (a 1..60,
-b 2..5, n 2..5) and on random generating sets, minimal or not.
+length-set search, the per-integer length-table DP over every integer
+up to the largest Apéry element, and the per-integer affine closure
+loop.  They must agree with `oracle` and `closed_form.affine_closure_ok`
+on the acceptance grid (a 1..60, b 2..5, n 2..5) and on random
+generating sets, minimal or not.
 """
 
 import math
@@ -122,7 +123,9 @@ def loop_affine_ok(params, bound: int, member) -> bool:
     return True
 
 
-def check_against_references(gens, length_targets) -> None:
+def check_against_references(gens, dfs_limit: int) -> None:
+    """Every oracle kernel against its reference; the Apéry elements up to
+    dfs_limit also get their length masks checked by depth-first search."""
     sg = oracle.GenericSemigroup.from_values(gens)
     m = sg.multiplicity
     inv = oracle.basic_invariants(sg)
@@ -135,30 +138,30 @@ def check_against_references(gens, length_targets) -> None:
     assert inv.apery == apery
     assert oracle.pseudo_frobenius(sg, inv) == maximals_scan(apery, members, m)
 
-    targets = list(length_targets(apery))
-    if targets:
-        table = oracle.length_table(sg, max(targets))
-        for x in targets:
-            assert oracle.length_set(sg, x, table=table) == dfs_length_set(sg.gens, x), x
+    for w, mask in zip(apery, oracle.apery_lengths(sg, apery)):
+        if w <= dfs_limit:
+            assert bit_positions(mask) == dfs_length_set(sg.gens, w), w
+
+
+def check_lengths_against_the_dp(sg, apery) -> None:
+    reference = dp_length_table(sg.gens, apery[-1])
+    assert oracle.apery_lengths(sg, apery) == [reference[w] for w in apery]
 
 
 def test_kernels_agree_on_the_acceptance_grid(grid):
     for params in grid:
         small = params.multiplicity <= DFS_MAX_MULTIPLICITY
-        check_against_references(params.generators(), lambda apery: apery if small else ())
+        check_against_references(params.generators(), math.inf if small else -1)
 
 
 def test_whole_mask_kernels_agree_on_the_acceptance_grid(grid):
-    """Length sets of every Apéry element and the affine check, on all
+    """Length masks of every Apéry element and the affine check, on all
     682 valid triples, against the per-integer references."""
     assert len(grid) == 682
     for params in grid:
         sg = oracle.GenericSemigroup.from_values(params.generators())
         inv = oracle.basic_invariants(sg)
-        table = oracle.length_table(sg, inv.apery[-1], cap=inv.apery[-1])
-        reference = dp_length_table(sg.gens, inv.apery[-1])
-        for w in inv.apery:
-            assert oracle.length_set(sg, w, table=table) == bit_positions(reference[w]), w
+        check_lengths_against_the_dp(sg, inv.apery)
 
         f, sv = inv.frobenius, inv.sieve
         expected = loop_affine_ok(params, f + 2 * params.multiplicity, lambda y: y > f or y in sv)
@@ -177,7 +180,7 @@ def generating_sets(draw):
 @settings(max_examples=100, deadline=None)
 @given(generating_sets(), st.integers(1, 3), st.data())
 def test_kernels_agree_on_random_generating_sets(values, multiple, data):
-    check_against_references(values, lambda apery: range(min(max(apery), 150) + 1))
+    check_against_references(values, 150)
 
     sg = oracle.GenericSemigroup.from_values(values)
     q = multiple * data.draw(st.sampled_from(sg.gens))  # a modulus that shares factors with some generators
@@ -189,17 +192,12 @@ def test_kernels_agree_on_random_generating_sets(values, multiple, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(generating_sets(), st.integers(0, 200), st.data())
-def test_slot_packed_length_table_agrees_with_the_dp(values, extra, data):
-    """Bounds from one slot byte per integer up to slots of many bytes."""
+@given(generating_sets())
+def test_apery_lengths_agree_with_the_dp_on_random_generating_sets(values):
+    """Redundant generators are kept, so an Apéry element can have
+    several lengths."""
     sg = oracle.GenericSemigroup.from_values(values)
-    m = sg.multiplicity
-    bound = data.draw(st.sampled_from([extra, 8 * m + extra]))
-    table = oracle.length_table(sg, bound, cap=bound)
-    assert table.width == bound // m // 8 + 1
-    reference = dp_length_table(sg.gens, bound)
-    for x in range(bound + 1):
-        assert oracle.length_set(sg, x, table=table) == bit_positions(reference[x]), x
+    check_lengths_against_the_dp(sg, oracle.basic_invariants(sg).apery)
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,4 +246,4 @@ def test_set_bits_agrees_with_the_digit_string(bits):
 
 @pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (7, 8, 10, 15), (5, 7, 9, 11, 13)])
 def test_kernels_agree_on_textbook_semigroups(gens):
-    check_against_references(gens, lambda apery: range(max(apery) + 1))
+    check_against_references(gens, math.inf)

@@ -159,16 +159,25 @@ def test_minimal_generators_drop_redundant():
     assert oracle.minimal_generators([1, 5]) == [1]
 
 
+def apery_masks(s) -> dict[int, int]:
+    apery = oracle.basic_invariants(s).apery
+    return dict(zip(apery, oracle.apery_lengths(s, apery)))
+
+
 def test_length_set_values():
-    # 18 = 6+6+6 = 9+9 over <6, 9, 20>
-    assert oracle.length_set(sg(6, 9, 20), 18) == frozenset({2, 3})
-    assert oracle.length_set(sg(6, 9, 20), 7) == frozenset()
-    assert oracle.length_set(sg(6, 9, 20), 0) == frozenset({0})
-    # 26 = 8+8+10 is the only factorization over <7, 8, 10>
-    assert oracle.length_set(sg(7, 8, 10), 26) == frozenset({3})
-    assert oracle.length_set(sg(7, 8, 10), 19) == frozenset()
-    with pytest.raises(CapacityError):
-        oracle.length_set(sg(6, 9, 20), 10**6)
+    # Ap(<6, 9, 20>, 6): 49 = 9+20+20 is the only factorization of length 3
+    assert apery_masks(sg(6, 9, 20)) == {0: 1, 9: 2, 20: 2, 29: 4, 40: 4, 49: 8}
+    # Ap(<7, 8, 10>, 7): 26 = 8+8+10 is the only factorization over <7, 8, 10>
+    assert apery_masks(sg(7, 8, 10)) == {0: 1, 8: 2, 10: 2, 16: 4, 18: 4, 20: 4, 26: 8}
+    # the redundant generator 12 = 6+6 gives 12 the lengths {1, 2}, and
+    # 18 = 9+9 = 6+12 = 6+6+6 the lengths {2, 3}
+    assert apery_masks(sg(5, 6, 9, 12)) == {0: 1, 6: 2, 9: 2, 12: 0b110, 18: 0b1100}
+
+
+def test_apery_lengths_refuse_an_element_no_generator_reaches():
+    # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the list
+    with pytest.raises(RouteDisagreementError, match="43"):
+        oracle.apery_lengths(sg(6, 9, 20), [0, 9, 20, 29, 40, 43])
 
 
 def test_wilf_data_known_semigroup():

@@ -75,10 +75,25 @@ def test_recursive_skips_when_smaller_triple_invalid():
     assert "invalid" in row.note
 
 
-def test_homogeneous_skips_beyond_factor_cap():
-    row = run_check(validate(3, 3, 4), "homogeneous", Caps(factor=100))
+def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
+    def refuse(sg, apery):
+        pytest.fail("the oracle pass ran before the cap was checked")
+
+    monkeypatch.setattr(oracle, "apery_lengths", refuse)
+    row = run_check(validate(3, 3, 4), "homogeneous", Caps(apery=10))
     assert row.status == STATUS_SKIPPED_CAPACITY
-    assert "cap" in row.note
+    assert row.note == "40 coefficient tuples exceed cap 10"
+
+
+def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
+    # an oracle that forgets the generator 43 finds no factorization of it
+    real = oracle.apery_lengths
+    forgetful = lambda sg, apery: real(oracle.GenericSemigroup((40, 52, 79)), apery)
+    monkeypatch.setattr(oracle, "apery_lengths", forgetful)
+    row = run_check(validate(3, 3, 4), "homogeneous")
+    assert row.status == STATUS_MISMATCH
+    assert (row.closed, row.oracle) == (None, None)
+    assert row.note == "Apéry element 43 is no sum of the generators"
 
 
 def test_apery_check_reports_digests():
