@@ -26,7 +26,8 @@ DEFAULT_APERY_CAP = 10**6
 AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
 
 
-def _check_cap(m: int, cap: Optional[int]) -> None:
+def check_cap(m: int, cap: Optional[int]) -> None:
+    """Refuse an Apéry enumeration of m coefficient tuples over the cap."""
     if cap is not None and m > cap:
         raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
 
@@ -44,7 +45,7 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
     count = repunit(b, i)
-    _check_cap(count, cap)
+    check_cap(count, cap)
 
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -97,7 +98,7 @@ def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
     generator a_j at a time: the value sum(u_j * a_j) and factorization
     length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
     order.  Calls with the same arguments share one read-only result."""
-    _check_cap(params.multiplicity, cap)
+    check_cap(params.multiplicity, cap)
     values, lengths = [0], [0]
     for g in params.generators()[1:]:
         values, lengths = _extend(values, lengths, g, params.b)
@@ -196,7 +197,7 @@ def apery_set_recursive(
             f"expected previous triple (a={params.a}, b={params.b}, n={params.n - 1}), "
             f"got (a={prev.a}, b={prev.b}, n={prev.n})"
         )
-    _check_cap(params.multiplicity, cap)
+    check_cap(params.multiplicity, cap)
     values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
     values = [v + shift * k for v, k in zip(values, lengths)]

@@ -3,20 +3,20 @@
 Everything here works from first definitions, on big-integer bitsets:
 membership by a shift-or closure over the generators (also handed out
 as one byte per integer), Frobenius number, genus and n(S) by bit length
-and popcount of that mask, Apéry sets as ascending lists of ints by
-Böcker-Lipták round-robin over residue classes, pseudo-Frobenius numbers
-by the generator test on the Apéry set cross-checked against the raw
-definition on the membership mask, and the factorization lengths of
-the Apéry elements by one ascending pass over the Apéry list, each
-element's lengths read off those of the elements one generator below
-it.  Nothing in this module consults the closed formulas it is used to
-check, nor the Apéry sets they build.
+and popcount of that mask, Apéry sets as residue-indexed tables (entry r
+is the element congruent to r) by Böcker-Lipták round-robin over
+residue classes, pseudo-Frobenius numbers by the generator test on the
+Apéry set cross-checked against the raw definition on the membership
+mask, and the factorization lengths of the Apéry elements by one
+ascending pass over the Apéry table, each element's lengths read off
+those of the elements one generator below it.  Nothing in this module
+consults the closed formulas it is used to check, nor the Apéry sets
+they build.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,29 +71,41 @@ def _closure(gens, bound: int) -> int:
     return s
 
 
-def _mask_of(values: list[int]) -> int:
-    """Bitmask with bit v set for each of the non-negative values."""
-    packed = bytearray((max(values) >> 3) + 1)
+def _mask_of(values: list[int], top: int) -> int:
+    """Bitmask with bit v set for each of the values, all in 0..top."""
+    packed = bytearray((top >> 3) + 1)
     for v in values:
         packed[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(packed, "little")
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_NONZERO_RUN = re.compile(rb"[^\x00]+")
+_LEAF_BITS = 2048  # pieces this wide or narrower are formatted whole
 
 
 def _set_bits(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative mask, ascending.
 
-    Binary formatting costs a character per bit, so the mask is formatted
-    one run of nonzero bytes at a time: a sparse mask then costs its
-    nonzero bytes, not its bits.
+    Binary formatting costs a character per bit, so the mask is halved
+    until each piece is at most _LEAF_BITS wide, and only those pieces
+    are formatted; a zero half is dropped, and a low half loses its
+    leading zeros.  A sparse mask then costs about its set bits times
+    the log of its length, not its length.
     """
     out = []
-    for run in _NONZERO_RUN.finditer(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
-        digits = format(int.from_bytes(run.group(), "little"), "b")
-        top = 8 * run.start() + len(digits) - 1
+    pieces = [(mask, 0)]  # (piece, position of its bit 0); low halves on top
+    while pieces:
+        piece, base = pieces.pop()
+        width = piece.bit_length()
+        if width > _LEAF_BITS:
+            half = width >> 1
+            pieces.append((piece >> half, base + half))  # holds the top bit
+            low = piece & ((1 << half) - 1)
+            if low:
+                pieces.append((low, base))
+            continue
+        digits = format(piece, "b")
+        top = base + width - 1
         i = digits.rfind("1")
         while i >= 0:
             out.append(top - i)
@@ -143,7 +155,8 @@ def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> Mem
 
 
 def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
-    """Least member of each residue class mod q, ascending, by round-robin.
+    """Least member of each residue class mod q, by round-robin, as a
+    residue-indexed table: entry r is the one congruent to r (mod q).
 
     best[r] holds the least sum of the generators folded in so far that is
     congruent to r.  Folding in g walks each cycle r -> r + g (mod q) once,
@@ -158,13 +171,16 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
     unreached = q * sum(sg.gens) + 1  # above every sum the walk below forms
     best = [unreached] * q
     best[0] = 0
-    for g in sg.gens:
-        d = math.gcd(g, q)
-        if d == q:
-            continue
+    folds = [(g, math.gcd(g, q)) for g in sg.gens if g % q]  # a multiple of q adds nothing
+    if folds:
+        # only class 0 is reached before the first fold, so the multiples
+        # of g fill its cycle with nothing to compare against
+        g, d = folds[0]
+        for v in range(g, q // d * g, g):
+            best[v % q] = v
+    for g, d in folds[1:]:
         for start in range(d):
-            cycle = best[start::d]
-            v = min(cycle)
+            v = min(best[start::d]) if start else 0  # 0 is the least of its cycle
             if v == unreached:
                 continue
             for _ in range(q // d - 1):
@@ -177,7 +193,7 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
                     best[r] = v
     if unreached in best:  # with gcd 1 every class holds a member
         raise RouteDisagreementError(f"{best.count(unreached)} residue classes mod {q} never reached")
-    return sorted(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -185,12 +201,22 @@ class SemigroupInvariants:
     """Frobenius number, genus and friends, each computed two ways."""
 
     semigroup: GenericSemigroup
-    apery: list[int]  # Ap(S, m), ascending
+    apery: list[int]  # Ap(S, m) by residue: apery[r] is the element congruent to r mod m
     apery_mask: int = field(repr=False)  # bit w set iff w is in Ap(S, m)
     sieve: MembershipSieve
     frobenius: int
     genus: int
     n_below: int  # members strictly below the Frobenius number
+
+
+def check_multiplicity(m: int, sieve_cap: int = DEFAULT_SIEVE_CAP) -> None:
+    """Refuse a multiplicity m whose sieve would exceed the cap: the
+    sieve bound is at least 2m - 1."""
+    if 2 * m > sieve_cap:
+        raise CapacityError(
+            f"multiplicity {m} needs a sieve bound of at least {2 * m - 1}, "
+            f"which exceeds capacity cap {sieve_cap}"
+        )
 
 
 def basic_invariants(
@@ -200,27 +226,25 @@ def basic_invariants(
     multiplicity and from a raw gap sieve - and insist the routes agree.
 
     The sieve bound max(Apéry) + max generator covers every gap and every
-    Apéry element, so both computations are complete.  That bound is at
-    least 2m - 1, so a multiplicity m with 2m over the cap is refused
-    before the Apéry set is built.
+    Apéry element, so both computations are complete.  A multiplicity
+    whose sieve cannot fit (`check_multiplicity`) is refused before the
+    Apéry set is built.
     """
     m = sg.multiplicity
-    if 2 * m > sieve_cap:
-        raise CapacityError(
-            f"multiplicity {m} needs a sieve bound of at least {2 * m - 1}, "
-            f"which exceeds capacity cap {sieve_cap}"
-        )
+    check_multiplicity(m, sieve_cap)
     ap = apery_set(sg, m)
-    bound = ap[-1] + max(sg.gens)
+    top = max(ap)
+    bound = top + max(sg.gens)
     sv = sieve(sg, bound, cap=sieve_cap)
 
-    f_apery = ap[-1] - m
+    f_apery = top - m
     num = 2 * sum(ap) - m * (m - 1)
     if num % (2 * m) != 0:
         raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
     g_apery = num // (2 * m)
 
-    gap_mask = ~sv.mask & ((1 << (bound + 1)) - 1)
+    s = sv.mask
+    gap_mask = ((1 << (bound + 1)) - 1) ^ s  # the sieve mask lies within bits 0..bound
     f_sieve = gap_mask.bit_length() - 1  # -1 when there is no gap
     g_sieve = gap_mask.bit_count()
     if f_apery != f_sieve:
@@ -229,12 +253,14 @@ def basic_invariants(
         raise RouteDisagreementError(f"genus routes disagree: {g_apery} vs {g_sieve}")
 
     # Apéry vs sieve agreement: the set holds exactly the members whose
-    # predecessor in their class is a gap.
-    ap_mask = _mask_of(ap)
-    if ap_mask != sv.mask & ~(sv.mask << m):
+    # predecessor in their class is a gap.  (Here and in pseudo_frobenius
+    # x & ~y is written x ^ (x & y): ~ of a big int costs two's-complement
+    # passes.)
+    ap_mask = _mask_of(ap, top)
+    if ap_mask != s ^ (s & (s << m)):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
-    n_below = (sv.mask & ((1 << max(f_sieve, 0)) - 1)).bit_count()
+    n_below = (s & ((1 << max(f_sieve, 0)) - 1)).bit_count()
     return SemigroupInvariants(sg, ap, ap_mask, sv, f_sieve, g_sieve, n_below)
 
 
@@ -265,11 +291,12 @@ def pseudo_frobenius(
         inv = basic_invariants(sg)
     maximal = inv.apery_mask
     for g in sg.gens[1:]:
-        maximal &= ~(inv.apery_mask >> g)
+        maximal ^= maximal & (inv.apery_mask >> g)
     pf = [w - sg.multiplicity for w in _set_bits(maximal)]
 
     s = inv.sieve.mask
-    candidates = ~s & ((1 << (inv.frobenius + 1)) - 1)  # the gaps, all in [0, F]
+    below = (1 << (inv.frobenius + 1)) - 1
+    candidates = below ^ (s & below)  # the gaps, all in [0, F]
     for g in sg.gens:
         candidates &= s >> g
     direct = _set_bits(candidates)
@@ -297,33 +324,31 @@ def minimal_generators(values) -> list[int]:
 
 def apery_lengths(sg: GenericSemigroup, apery: list[int]) -> list[int]:
     """Factorization-length masks of the Apéry elements of the
-    multiplicity m, in the order of `apery` (Ap(S, m), ascending): bit k of
-    a mask is set iff the element is a sum of exactly k generators.
+    multiplicity m: bit k of a mask is set iff the element is a sum of
+    exactly k generators.  `apery` is Ap(S, m) indexed by residue, as
+    `apery_set` returns it, and the masks come back in the same order.
 
     No factorization of w in Ap(S, m) uses m, and for a generator g,
     w - g in S forces w - g in Ap(S, m) (else w - m would be a member).
     So L(w) is the union over g != m with w - g in Ap(S, m) of L(w - g)
-    shifted by one, read through a residue-indexed position table in one
-    ascending pass: O(e*m) time and O(m) memory.
+    shifted by one, read at residue w - g in one pass over the elements
+    in ascending order: O(e*m) time beside the sort, and O(m) memory.
     """
     m = sg.multiplicity
-    position = [0] * m  # residue mod m -> index of its Apéry element
-    for i, w in enumerate(apery):
-        position[w % m] = i
-    masks = [1] + [0] * (len(apery) - 1)
+    masks = [0] * m
+    masks[0] = 1  # the element 0, the least
     others = sg.gens[1:]
-    for i in range(1, len(apery)):
-        w = apery[i]
+    for w in sorted(apery)[1:]:
         mask = 0
         for g in others:
             if g > w:
                 break
-            j = position[(w - g) % m]
-            if apery[j] == w - g:
-                mask |= masks[j]
+            r = (w - g) % m
+            if apery[r] == w - g:
+                mask |= masks[r]
         if not mask:
             raise RouteDisagreementError(f"Apéry element {w} is no sum of the generators")
-        masks[i] = mask << 1
+        masks[w % m] = mask << 1
     return masks
 
 

@@ -3,7 +3,8 @@
 `CHECKS` maps each check name to a function that computes one invariant
 along both routes; `run_check` looks up the triple's oracle bundle,
 calls the check and turns its result into one match / mismatch / skip
-row.  A capacity overrun is a `skipped-capacity` row and a route
+row.  The checks built on the closed-form Apéry set test its cap before
+the bundle is looked up.  A capacity overrun is a `skipped-capacity` row and a route
 disagreement inside either engine a `mismatch` row with the error as its
 note.  Grid sweeps iterate triples in ascending (b, n, a) order so
 output is deterministic.
@@ -134,7 +135,7 @@ def _genus(params, bundle, caps):
 
 def _apery(params, bundle, caps):
     closed_values = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
-    oracle_values = bundle.invariants.apery
+    oracle_values = sorted(bundle.invariants.apery)
     same = closed_values == oracle_values
     matched = same and closed_form.apery_sum(params) == sum(oracle_values)
     digest = _digest(closed_values)
@@ -150,9 +151,6 @@ def _type(params, bundle, caps):
 
 
 def _homogeneous(params, bundle, caps):
-    # the closed side refuses a multiplicity over the cap before the
-    # oracle pass; is_homogeneous then reads the same cached set
-    closed_form.apery_set(params, cap=caps.apery)
     # the masks are built here, not in the bundle: no other check reads them
     apery = bundle.invariants.apery
     masks = dict(zip(apery, oracle.apery_lengths(bundle.semigroup, apery)))
@@ -180,13 +178,18 @@ def _minors(params, bundle, caps):
     return minors, gens, matched
 
 
-def _recursive(params, bundle, caps):
+def _previous(params) -> GrepunitParams:
+    """The triple with n - 1 that the recursive construction lifts from."""
     if params.n < 3:
         raise _Unsupported("recursive construction needs n >= 3")
     try:
-        prev = validate(params.a, params.b, params.n - 1)
+        return validate(params.a, params.b, params.n - 1)
     except InvalidParametersError as exc:
         raise _Unsupported(f"smaller triple invalid: {exc}")
+
+
+def _recursive(params, bundle, caps):
+    prev = _previous(params)
     direct = closed_form.apery_set(params, cap=caps.apery)
     lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery)
     # both come in coefficient-tuple order, so the (values, lengths)
@@ -221,11 +224,33 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+def _apery_cap(params, caps):
+    closed_form.check_cap(params.multiplicity, caps.apery)
+
+
+def _recursive_apery_cap(params, caps):
+    try:
+        _previous(params)
+    except _Unsupported:
+        return  # the row is this skip unless the bundle refuses first
+    _apery_cap(params, caps)
+
+
+# Check name -> the closed side's Apéry-cap refusal, which run_check tries
+# before building the oracle bundle: at m ~ 10^6 the bundle takes seconds,
+# and the row would end in that refusal anyway.
+_EARLY_REFUSALS = {"apery": _apery_cap, "homogeneous": _apery_cap, "recursive": _recursive_apery_cap}
+
+
 def run_check(params: GrepunitParams, check: str, caps: Caps = Caps()) -> VerifyOutcome:
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     a, b, n = params.a, params.b, params.n
     try:
+        if check in _EARLY_REFUSALS:
+            # the bundle's own up-front refusal keeps precedence
+            oracle.check_multiplicity(params.multiplicity, caps.sieve)
+            _EARLY_REFUSALS[check](params, caps)
         closed, brute, matched = CHECKS[check](params, oracle_bundle(a, b, n, caps.sieve), caps)
     except CapacityError as exc:
         return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_CAPACITY, str(exc))

@@ -43,7 +43,7 @@ def dp_members(gens, bound: int) -> bytearray:
 
 def relaxation_apery(gens, q: int) -> list[int]:
     """Least sum of gens per residue class mod q, relaxing every class
-    through every generator until nothing improves; ascending."""
+    through every generator until nothing improves; indexed by residue."""
     best = [None] * q
     best[0] = 0
     changed = True
@@ -59,7 +59,7 @@ def relaxation_apery(gens, q: int) -> list[int]:
                 if cur is None or w < cur:
                     best[w % q] = w
                     changed = True
-    return sorted(best)
+    return best
 
 
 def maximals_scan(apery_values: list[int], members: bytearray, m: int) -> list[int]:
@@ -136,7 +136,7 @@ def check_against_references(gens, dfs_limit: int) -> None:
 
     apery = relaxation_apery(sg.gens, m)
     assert inv.apery == apery
-    assert oracle.pseudo_frobenius(sg, inv) == maximals_scan(apery, members, m)
+    assert oracle.pseudo_frobenius(sg, inv) == maximals_scan(sorted(apery), members, m)
 
     for w, mask in zip(apery, oracle.apery_lengths(sg, apery)):
         if w <= dfs_limit:
@@ -144,7 +144,8 @@ def check_against_references(gens, dfs_limit: int) -> None:
 
 
 def check_lengths_against_the_dp(sg, apery) -> None:
-    reference = dp_length_table(sg.gens, apery[-1])
+    """Masks and values paired by residue, as `apery` is indexed."""
+    reference = dp_length_table(sg.gens, max(apery))
     assert oracle.apery_lengths(sg, apery) == [reference[w] for w in apery]
 
 
@@ -184,7 +185,9 @@ def test_kernels_agree_on_random_generating_sets(values, multiple, data):
 
     sg = oracle.GenericSemigroup.from_values(values)
     q = multiple * data.draw(st.sampled_from(sg.gens))  # a modulus that shares factors with some generators
-    assert oracle.apery_set(sg, q) == relaxation_apery(sg.gens, q)
+    ap = oracle.apery_set(sg, q)
+    assert ap == relaxation_apery(sg.gens, q)
+    assert all(ap[r] % q == r for r in range(q))
 
     vals = sorted(set(values))
     redundant = [v for i, v in enumerate(vals) if i and dp_members(vals[:i], v)[v]]
@@ -230,11 +233,25 @@ def digit_positions(mask: int) -> list[int]:
         list(range(0, 200, 3)),  # dense: one run of many bytes
         [0, 1 << 16, (1 << 16) + 9, 2_000_000],  # sparse and far past 2^16 bits
         [5, 300, 301, 70_000] + list(range(100_000, 100_064)),
+        # pieces of at most 2048 bits are formatted whole; wider ones are halved
+        [2047],
+        [2048],
+        [0, 2048],
+        [4095],
+        [4096],
+        [1, 2047, 2048, 4095, 4096],
+        list(range(2040, 2060)) + [4096],  # a run across the first split, at 2048
+        list(range(8190, 8200)) + [16_000],
     ],
 )
 def test_set_bits_reads_every_run(bits):
     mask = sum(1 << k for k in bits)
     assert oracle._set_bits(mask) == digit_positions(mask) == bits
+
+
+def test_set_bits_of_a_sparse_mask_spanning_sixty_million_bits():
+    bits = [0, 1, 2048, 29_999_999, 30_000_000, 60_000_000]
+    assert oracle._set_bits(sum(1 << k for k in bits)) == bits
 
 
 @settings(max_examples=100, deadline=None)

@@ -48,13 +48,25 @@ def test_sieve_cap():
 
 
 def test_apery_set_of_mcnugget_semigroup():
-    # <6, 9, 20>: Ap(S, 6) residues 0..5
-    assert oracle.apery_set(sg(6, 9, 20), 6) == [0, 9, 20, 29, 40, 49]
+    # <6, 9, 20>: Ap(S, 6) indexed by residue 0..5
+    assert oracle.apery_set(sg(6, 9, 20), 6) == [0, 49, 20, 9, 40, 29]
 
 
 def test_apery_set_known_values():
-    assert oracle.apery_set(sg(7, 8, 10), 7) == [0, 8, 10, 16, 18, 20, 26]
+    assert oracle.apery_set(sg(7, 8, 10), 7) == [0, 8, 16, 10, 18, 26, 20]
     assert oracle.apery_set(sg(2, 3), 2) == [0, 3]
+
+
+def test_apery_set_first_fold_shares_a_factor_with_the_modulus():
+    # 6 reaches only the even classes mod 4; 9 then walks one cycle of all four
+    assert oracle.apery_set(sg(4, 6, 9), 4) == [0, 9, 6, 15]
+
+
+def test_apery_set_modulo_other_members():
+    # 4 folds first, sharing 2 with the modulus; the generator 6 adds nothing mod 6
+    assert oracle.apery_set(sg(4, 6, 9), 6) == [0, 13, 8, 9, 4, 17]
+    # 10 = 4 + 6 is no generator; 4 and 6 both share 2 with it
+    assert oracle.apery_set(sg(4, 6, 9), 10) == [0, 21, 12, 13, 4, 15, 6, 17, 8, 9]
 
 
 def test_apery_needs_member_modulus():
@@ -177,7 +189,7 @@ def test_length_set_values():
 def test_apery_lengths_refuse_an_element_no_generator_reaches():
     # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the list
     with pytest.raises(RouteDisagreementError, match="43"):
-        oracle.apery_lengths(sg(6, 9, 20), [0, 9, 20, 29, 40, 43])
+        oracle.apery_lengths(sg(6, 9, 20), [0, 43, 20, 9, 40, 29])
 
 
 def test_wilf_data_known_semigroup():

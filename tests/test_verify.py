@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grepunit import oracle
+from grepunit import oracle, verify
 from grepunit.arith import repunit, validate
 from grepunit.closed_form import frobenius, invariant_report
 from grepunit.errors import RouteDisagreementError
@@ -83,6 +83,30 @@ def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
     row = run_check(validate(3, 3, 4), "homogeneous", Caps(apery=10))
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note == "40 coefficient tuples exceed cap 10"
+
+
+@pytest.mark.parametrize("check", ["apery", "homogeneous", "recursive"])
+def test_apery_cap_refuses_before_the_oracle_bundle(monkeypatch, check):
+    def unreachable(*args):
+        pytest.fail("the oracle bundle was built before the Apéry cap was checked")
+
+    monkeypatch.setattr(verify, "oracle_bundle", unreachable)
+    row = run_check(validate(3, 3, 4), check, Caps(apery=10))
+    assert row.status == STATUS_SKIPPED_CAPACITY
+    assert row.note == "40 coefficient tuples exceed cap 10"
+
+
+def test_sieve_refusal_keeps_precedence_over_the_apery_cap():
+    # 2m = 80 cells over the sieve cap is refused before the Apéry stage
+    row = run_check(validate(3, 3, 4), "apery", Caps(apery=10, sieve=79))
+    assert row.status == STATUS_SKIPPED_CAPACITY
+    assert row.note.startswith("multiplicity 40 needs a sieve bound of at least 79")
+
+
+def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
+    # n = 2 has no smaller triple, whatever the cap
+    row = run_check(validate(3, 3, 2), "recursive", Caps(apery=1))
+    assert row.status == STATUS_SKIPPED_UNSUPPORTED
 
 
 def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
