@@ -36,7 +36,7 @@ from .errors import (
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
-from .verify import CHECK_NAMES, Caps, SweepSpec, VerifyOutcome, run_check, run_checks, sweep
+from .verify import CHECK_NAMES, Caps, SweepSpec, VerifyOutcome, run_checks, sweep
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "maximal_minors",
     "pseudo_frobenius",
     "repunit",
-    "run_check",
     "run_checks",
     "sweep",
     "validate",

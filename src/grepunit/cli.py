@@ -345,6 +345,8 @@ def build_parser() -> Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -11,7 +11,6 @@ invariants from definitions; `verify` pits the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .arith import GrepunitParams, repunit
@@ -26,7 +25,7 @@ DEFAULT_APERY_CAP = 10**6
 AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
 
 
-def check_cap(m: int, cap: Optional[int]) -> None:
+def _check_cap(m: int, cap: Optional[int]) -> None:
     """Refuse an Apéry enumeration of m coefficient tuples over the cap."""
     if cap is not None and m > cap:
         raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
@@ -45,7 +44,7 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
     count = repunit(b, i)
-    check_cap(count, cap)
+    _check_cap(count, cap)
 
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -90,15 +89,12 @@ def _residue_system(m: int, values: list[int], lengths: list[int]) -> AperySet:
     return tuple(values), tuple(lengths)
 
 
-# the apery, homogeneous and recursive checks of one triple share a
-# result, and recursive also needs the triple with n - 1
-@lru_cache(maxsize=2)
 def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set with respect to the multiplicity a_1, built directly one
     generator a_j at a time: the value sum(u_j * a_j) and factorization
     length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
-    order.  Calls with the same arguments share one read-only result."""
-    check_cap(params.multiplicity, cap)
+    order."""
+    _check_cap(params.multiplicity, cap)
     values, lengths = [0], [0]
     for g in params.generators()[1:]:
         values, lengths = _extend(values, lengths, g, params.b)
@@ -197,7 +193,7 @@ def apery_set_recursive(
             f"expected previous triple (a={params.a}, b={params.b}, n={params.n - 1}), "
             f"got (a={prev.a}, b={prev.b}, n={prev.n})"
         )
-    check_cap(params.multiplicity, cap)
+    _check_cap(params.multiplicity, cap)
     values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
     values = [v + shift * k for v, k in zip(values, lengths)]
@@ -205,18 +201,15 @@ def apery_set_recursive(
     return _residue_system(params.multiplicity, values, lengths)
 
 
-def is_homogeneous(
-    params: GrepunitParams,
-    length_masks: Mapping[int, int],
-    cap: int = DEFAULT_APERY_CAP,
-) -> bool:
-    """Whether every Apéry element's full set of factorization lengths
-    is the singleton predicted by its coefficient tuple.
+def is_homogeneous(apery: AperySet, length_masks: Mapping[int, int]) -> bool:
+    """Whether every element of an Apéry set, as `apery_set` builds it,
+    has as its full set of factorization lengths the singleton predicted
+    by its coefficient tuple.
 
     `length_masks` comes from an independent oracle and maps each Apéry
     element w to its length mask: bit k set iff w is a sum of exactly k
     generators.  An element missing from it fails the check."""
-    values, lengths = apery_set(params, cap=cap)
+    values, lengths = apery
     return all(length_masks.get(w) == 1 << k for w, k in zip(values, lengths))
 
 

@@ -121,7 +121,6 @@ class MembershipSieve:
     outgrows its sieve fails loudly.
     """
 
-    gens: tuple[int, ...]
     bound: int
     # kept out of repr: a mask past 4300 decimal digits cannot be printed
     mask: int = field(repr=False)  # bit x set iff x is a member
@@ -151,7 +150,7 @@ def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> Mem
     if bound + 1 > cap:
         raise CapacityError(f"sieve bound {bound} exceeds capacity cap {cap}")
     mask = _closure(sg.gens, bound)
-    return MembershipSieve(sg.gens, bound, mask, mask.to_bytes((bound >> 3) + 1, "little"))
+    return MembershipSieve(bound, mask, mask.to_bytes((bound >> 3) + 1, "little"))
 
 
 def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
@@ -262,16 +261,6 @@ def basic_invariants(
 
     n_below = (s & ((1 << max(f_sieve, 0)) - 1)).bit_count()
     return SemigroupInvariants(sg, ap, ap_mask, sv, f_sieve, g_sieve, n_below)
-
-
-def frobenius(sg: GenericSemigroup) -> int:
-    """Largest integer not in the semigroup (-1 when there is none)."""
-    return basic_invariants(sg).frobenius
-
-
-def genus(sg: GenericSemigroup) -> int:
-    """Number of gaps."""
-    return basic_invariants(sg).genus
 
 
 def pseudo_frobenius(

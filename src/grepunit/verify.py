@@ -1,10 +1,10 @@
 """Closed-form versus brute-force comparison engine.
 
 `CHECKS` maps each check name to a function that computes one invariant
-along both routes; `run_check` looks up the triple's oracle bundle,
-calls the check and turns its result into one match / mismatch / skip
-row.  The checks built on the closed-form Apéry set test its cap before
-the bundle is looked up.  A capacity overrun is a `skipped-capacity` row and a route
+along both routes; `run_checks` turns each check's result on one triple
+into a match / mismatch / skip row.  The checks share the triple's oracle
+bundle and closed-form Apéry set, each built once, on first use, refusal
+included.  A capacity overrun is a `skipped-capacity` row and a route
 disagreement inside either engine a `mismatch` row with the error as its
 note.  Grid sweeps iterate triples in ascending (b, n, a) order so
 output is deterministic.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import closed_form, oracle
@@ -69,22 +68,19 @@ class VerifyOutcome:
 @dataclass(frozen=True)
 class OracleBundle:
     """Everything the brute-force engine knows about one triple, computed
-    once and shared by all checks."""
+    once and shared by all its checks."""
 
-    semigroup: oracle.GenericSemigroup
     invariants: oracle.SemigroupInvariants
     pseudo_frobenius: tuple[int, ...]
     wilf: oracle.WilfData
 
 
-@lru_cache(maxsize=1)  # sweeps visit triples in order; only the current one recurs
-def oracle_bundle(a: int, b: int, n: int, sieve_cap: int) -> OracleBundle:
-    params = validate(a, b, n)
+def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
     sg = oracle.GenericSemigroup.from_values(params.generators())
     inv = oracle.basic_invariants(sg, sieve_cap=sieve_cap)
     pf = oracle.pseudo_frobenius(sg, inv)
     wilf = oracle.wilf_data(sg, inv, pf)
-    return OracleBundle(sg, inv, tuple(pf), wilf)
+    return OracleBundle(inv, tuple(pf), wilf)
 
 
 def _digest(values: list[int]) -> dict:
@@ -100,12 +96,12 @@ def _digest(values: list[int]) -> dict:
 
 def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.InvariantReport:
     """Invariant report assembled entirely from the brute-force engine."""
-    bundle = oracle_bundle(params.a, params.b, params.n, caps.sieve)
+    bundle = oracle_bundle(params, caps.sieve)
     inv = bundle.invariants
     pf = bundle.pseudo_frobenius
     return closed_form.InvariantReport(
         params=params,
-        generators=tuple(oracle.minimal_generators(bundle.semigroup.gens)),
+        generators=tuple(oracle.minimal_generators(inv.semigroup.gens)),
         frobenius=inv.frobenius,
         genus=inv.genus,
         pseudo_frobenius=pf,
@@ -121,53 +117,85 @@ class _Unsupported(Exception):
     """The check does not apply to this triple; the message is the note."""
 
 
+def _memo(build):
+    """build() on the first call; its value, or the refusal or route
+    disagreement it raised, on every call.  The error is kept without the
+    traceback whose frames hold the tables built so far."""
+    kept = []
+
+    def get():
+        if not kept:
+            try:
+                kept.append(build())
+            except (CapacityError, RouteDisagreementError) as exc:
+                kept.append(exc.with_traceback(None))
+        if isinstance(kept[0], Exception):
+            raise type(kept[0])(*kept[0].args)  # a copy: a raised error's traceback holds the memo
+        return kept[0]
+
+    return get
+
+
+class _Shared:
+    """The inputs that the checks of one triple share: the oracle bundle
+    and the closed-form Apéry set of a_1, each built once, on first use."""
+
+    def __init__(self, params: GrepunitParams, caps: Caps):
+        self.caps = caps
+        self.bundle = _memo(lambda: oracle_bundle(params, caps.sieve))
+        self.apery = _memo(lambda: closed_form.apery_set(params, cap=caps.apery))
+
+
 def _equal(closed, brute) -> tuple:
     return closed, brute, closed == brute
 
 
-def _frobenius(params, bundle, caps):
-    return _equal(closed_form.frobenius(params), bundle.invariants.frobenius)
+def _frobenius(params, shared):
+    return _equal(closed_form.frobenius(params), shared.bundle().invariants.frobenius)
 
 
-def _genus(params, bundle, caps):
-    return _equal(closed_form.genus(params), bundle.invariants.genus)
+def _genus(params, shared):
+    return _equal(closed_form.genus(params), shared.bundle().invariants.genus)
 
 
-def _apery(params, bundle, caps):
-    closed_values = sorted(closed_form.apery_set(params, cap=caps.apery)[0])
-    oracle_values = sorted(bundle.invariants.apery)
+def _apery(params, shared):
+    closed_values = sorted(shared.apery()[0])
+    oracle_values = sorted(shared.bundle().invariants.apery)
     same = closed_values == oracle_values
     matched = same and closed_form.apery_sum(params) == sum(oracle_values)
     digest = _digest(closed_values)
     return digest, digest if same else _digest(oracle_values), matched
 
 
-def _pf(params, bundle, caps):
-    return _equal(list(closed_form.pseudo_frobenius(params)), list(bundle.pseudo_frobenius))
+def _pf(params, shared):
+    return _equal(list(closed_form.pseudo_frobenius(params)), list(shared.bundle().pseudo_frobenius))
 
 
-def _type(params, bundle, caps):
-    return _equal(len(closed_form.pseudo_frobenius(params)), len(bundle.pseudo_frobenius))
+def _type(params, shared):
+    return _equal(len(closed_form.pseudo_frobenius(params)), len(shared.bundle().pseudo_frobenius))
 
 
-def _homogeneous(params, bundle, caps):
+def _homogeneous(params, shared):
+    closed = shared.apery()
+    inv = shared.bundle().invariants
     # the masks are built here, not in the bundle: no other check reads them
-    apery = bundle.invariants.apery
-    masks = dict(zip(apery, oracle.apery_lengths(bundle.semigroup, apery)))
-    result = closed_form.is_homogeneous(params, masks, cap=caps.apery)
+    masks = dict(zip(inv.apery, oracle.apery_lengths(inv.semigroup, inv.apery)))
+    result = closed_form.is_homogeneous(closed, masks)
     return True, result, result
 
 
-def _wilf(params, bundle, caps):
+def _wilf(params, shared):
+    wilf = shared.bundle().wilf
     report = closed_form.invariant_report(params)
     # for this family type + 1 = embedding dimension, so the
     # sharper bound coincides with Wilf's on the closed side
     c = {"wilf": report.wilf_ok, "type_bound": report.wilf_ok}
-    o = {"wilf": bundle.wilf.wilf_ok, "type_bound": bundle.wilf.type_bound_ok}
+    o = {"wilf": wilf.wilf_ok, "type_bound": wilf.type_bound_ok}
     return _equal(c, o)
 
 
-def _minors(params, bundle, caps):
+def _minors(params, shared):
+    shared.bundle()  # a refused or disagreeing oracle fails this row too
     if params.n < 3:
         raise _Unsupported("lattice matrix needs n >= 3")
     matrix = closed_form.lattice_matrix(params)
@@ -178,20 +206,24 @@ def _minors(params, bundle, caps):
     return minors, gens, matched
 
 
-def _previous(params) -> GrepunitParams:
-    """The triple with n - 1 that the recursive construction lifts from."""
+def _previous(params) -> GrepunitParams | str:
+    """The triple with n - 1 that the recursive lift starts from, or why there is none."""
     if params.n < 3:
-        raise _Unsupported("recursive construction needs n >= 3")
+        return "recursive construction needs n >= 3"
     try:
         return validate(params.a, params.b, params.n - 1)
     except InvalidParametersError as exc:
-        raise _Unsupported(f"smaller triple invalid: {exc}")
+        return f"smaller triple invalid: {exc}"
 
 
-def _recursive(params, bundle, caps):
+def _recursive(params, shared):
     prev = _previous(params)
-    direct = closed_form.apery_set(params, cap=caps.apery)
-    lifted = closed_form.apery_set_recursive(prev, params, cap=caps.apery)
+    if isinstance(prev, str):
+        shared.bundle()  # a refused or disagreeing oracle fails this row too
+        raise _Unsupported(prev)
+    direct = shared.apery()
+    shared.bundle()
+    lifted = closed_form.apery_set_recursive(prev, params, cap=shared.caps.apery)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
     if direct == lifted:
@@ -200,15 +232,17 @@ def _recursive(params, bundle, caps):
     return _digest(sorted(direct[0])), _digest(sorted(lifted[0])), False
 
 
-def _affine(params, bundle, caps):
+def _affine(params, shared):
     # the bundle's sieve covers 0..F; every integer above F is a member
-    inv = bundle.invariants
+    inv = shared.bundle().invariants
     result = closed_form.affine_closure_ok(params, inv.sieve.flags(inv.frobenius))
     return True, result, result
 
 
-# Check name -> f(params, bundle, caps) -> (closed, oracle, matched).  A
-# check raises CapacityError or _Unsupported to be skipped.
+# Check name -> f(params, shared) -> (closed, oracle, matched).  A check
+# raises CapacityError or _Unsupported to be skipped, and asks for its
+# shared inputs in the order of the notes' precedence: the closed-form
+# Apéry cap, then the oracle bundle, then its own skipped-unsupported.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,
@@ -224,34 +258,14 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _apery_cap(params, caps):
-    closed_form.check_cap(params.multiplicity, caps.apery)
-
-
-def _recursive_apery_cap(params, caps):
-    try:
-        _previous(params)
-    except _Unsupported:
-        return  # the row is this skip unless the bundle refuses first
-    _apery_cap(params, caps)
-
-
-# Check name -> the closed side's Apéry-cap refusal, which run_check tries
-# before building the oracle bundle: at m ~ 10^6 the bundle takes seconds,
-# and the row would end in that refusal anyway.
-_EARLY_REFUSALS = {"apery": _apery_cap, "homogeneous": _apery_cap, "recursive": _recursive_apery_cap}
-
-
-def run_check(params: GrepunitParams, check: str, caps: Caps = Caps()) -> VerifyOutcome:
+def _row(params: GrepunitParams, check: str, shared: _Shared) -> VerifyOutcome:
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     a, b, n = params.a, params.b, params.n
     try:
-        if check in _EARLY_REFUSALS:
-            # the bundle's own up-front refusal keeps precedence
-            oracle.check_multiplicity(params.multiplicity, caps.sieve)
-            _EARLY_REFUSALS[check](params, caps)
-        closed, brute, matched = CHECKS[check](params, oracle_bundle(a, b, n, caps.sieve), caps)
+        # the oracle's up-front refusal comes first on every row
+        oracle.check_multiplicity(params.multiplicity, shared.caps.sieve)
+        closed, brute, matched = CHECKS[check](params, shared)
     except CapacityError as exc:
         return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_CAPACITY, str(exc))
     except _Unsupported as exc:
@@ -265,7 +279,9 @@ def run_check(params: GrepunitParams, check: str, caps: Caps = Caps()) -> Verify
 def run_checks(
     params: GrepunitParams, checks: Iterable[str] = CHECK_NAMES, caps: Caps = Caps()
 ) -> list[VerifyOutcome]:
-    return [run_check(params, c, caps) for c in checks]
+    """One row per check, in the given order, for one valid triple."""
+    shared = _Shared(params, caps)
+    return [_row(params, check, shared) for check in checks]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from grepunit.errors import (
     InvalidParametersError,
     NotCoprimeError,
 )
-from grepunit.verify import Caps, oracle_bundle, run_check, run_checks
+from grepunit.verify import Caps, oracle_bundle, run_checks
 
 GRID_CHECKS = ("frobenius", "genus", "apery", "pf", "type")
 
@@ -93,7 +93,7 @@ def test_criterion_04_selmer_consistency(announce, grid):
 def test_criterion_05_homogeneity(announce, grid):
     with announce(5, "homogeneity via oracle Apéry length masks (whole grid)"):
         for p in grid:
-            row = run_check(p, "homogeneous")
+            row = run_checks(p, ("homogeneous",))[0]
             assert row.status == "match", f"(a={p.a}, b={p.b}, n={p.n}): {row}"
             assert row.oracle is True
 
@@ -125,7 +125,7 @@ def test_criterion_07_pseudo_frobenius_structure(announce, grid):
             assert sorted(x - p.multiplicity for x in alphas) == pf
             step = p.b**p.n - 1 - p.a
             assert all(x - y == step for x, y in zip(alphas, alphas[1:]))
-            bundle = oracle_bundle(p.a, p.b, p.n, Caps().sieve)
+            bundle = oracle_bundle(p, Caps().sieve)
             assert list(bundle.pseudo_frobenius) == pf
 
 
@@ -145,7 +145,7 @@ def test_criterion_08_lattice_minors(announce, grid):
 def test_criterion_09_wilf_and_type_bounds(announce, grid):
     with announce(9, "Wilf bound and the sharper type bound"):
         for p in grid:
-            bundle = oracle_bundle(p.a, p.b, p.n, Caps().sieve)
+            bundle = oracle_bundle(p, Caps().sieve)
             assert bundle.wilf.wilf_ok, f"(a={p.a}, b={p.b}, n={p.n})"
             assert bundle.wilf.type_bound_ok, f"(a={p.a}, b={p.b}, n={p.n})"
             assert closed_form.invariant_report(p).wilf_ok
@@ -161,7 +161,7 @@ def test_criterion_10_two_generator_sanity(announce, grid):
             g_expected = (g1 - 1) * (g2 - 1) // 2
             assert closed_form.frobenius(p) == f_expected
             assert closed_form.genus(p) == g_expected
-            inv = oracle_bundle(p.a, p.b, p.n, Caps().sieve).invariants
+            inv = oracle_bundle(p, Caps().sieve).invariants
             assert inv.frobenius == f_expected
             assert inv.genus == g_expected
 

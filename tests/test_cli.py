@@ -24,7 +24,6 @@ from grepunit.cli import (
     to_json,
 )
 from grepunit.errors import RouteDisagreementError
-from grepunit.verify import oracle_bundle
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
@@ -208,6 +207,8 @@ def test_usage_errors_exit_64(capsys):
     for argv in (
         ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
         ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],
+        ["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "-1"],
+        ["report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--cap", "0"],
         ["sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--checks", "bogus,all"],
         ["sweep", "--a", "x..y", "--b", "2..2", "--n", "2..2"],
         ["sweep", "--a", "3..1", "--b", "2..2", "--n", "2..2"],
@@ -299,7 +300,6 @@ def test_route_disagreement_reported_as_mismatch(capsys, monkeypatch):
     def disagree(sg, inv=None):
         raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
 
-    oracle_bundle.cache_clear()
     monkeypatch.setattr("grepunit.oracle.pseudo_frobenius", disagree)
     code, out, _ = run_cli(capsys, "verify", "-a", "3", "-b", "3", "-n", "4", "--format", "json")
     assert code == EXIT_MISMATCH

@@ -22,7 +22,7 @@ from grepunit.errors import (
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
-from grepunit.verify import run_check
+from grepunit.verify import run_checks
 
 GOLDEN = validate(3, 3, 4)  # generators <40, 43, 52, 79>
 
@@ -134,11 +134,11 @@ def colliding(params):
 
 
 def test_broken_construction_is_a_mismatch_row(monkeypatch):
-    build = closed_form.apery_set.__wrapped__
+    build = closed_form.apery_set
     with pytest.raises(RouteDisagreementError):
         build(colliding(GOLDEN))
     monkeypatch.setattr(closed_form, "apery_set", lambda params, cap: build(colliding(params), cap))
-    row = run_check(GOLDEN, "apery")
+    row = run_checks(GOLDEN, ("apery",))[0]
     assert (row.closed, row.oracle, row.status) == (None, None, "mismatch")
     assert "not a residue system mod 40 with 0" in row.note
 
@@ -259,12 +259,13 @@ def test_homogeneous_golden():
     sg = oracle.GenericSemigroup.from_values(GOLDEN.generators())
     apery = oracle.basic_invariants(sg).apery
     masks = dict(zip(apery, oracle.apery_lengths(sg, apery)))
-    assert closed_form.is_homogeneous(GOLDEN, masks)
+    closed = closed_form.apery_set(GOLDEN)
+    assert closed_form.is_homogeneous(closed, masks)
 
     # a second length planted on one element breaks homogeneity
     planted = dict(masks)
     planted[apery[-1]] |= planted[apery[-1]] << 1
-    assert not closed_form.is_homogeneous(GOLDEN, planted)
+    assert not closed_form.is_homogeneous(closed, planted)
 
 
 def member_table(params) -> bytes:
@@ -273,11 +274,20 @@ def member_table(params) -> bytes:
     return inv.sieve.flags(inv.frobenius)
 
 
-def test_apery_table_is_shared_read_only_and_bounded():
-    result = closed_form.apery_set(GOLDEN)
-    assert closed_form.apery_set(GOLDEN) is result
-    assert [type(part) for part in result] == [tuple, tuple]
-    assert closed_form.apery_set.cache_info().maxsize == 2
+def test_run_checks_builds_the_closed_apery_set_once(monkeypatch):
+    built = []
+    real = closed_form.apery_set
+
+    def counting(params, cap=closed_form.DEFAULT_APERY_CAP):
+        built.append(params)
+        return real(params, cap)
+
+    monkeypatch.setattr(closed_form, "apery_set", counting)
+    rows = run_checks(GOLDEN, ("apery", "homogeneous", "recursive"))
+    assert [r.status for r in rows] == ["match"] * 3
+    # the recursive lift builds its smaller triple's set for itself
+    assert built == [GOLDEN, validate(3, 3, 3)]
+    assert [type(part) for part in real(GOLDEN)] == [tuple, tuple]
 
 
 def test_every_exported_name_resolves():

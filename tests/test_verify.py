@@ -1,5 +1,6 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -24,7 +25,6 @@ from grepunit.verify import (
     SweepSpec,
     oracle_bundle,
     oracle_report,
-    run_check,
     run_checks,
     sweep,
 )
@@ -59,18 +59,18 @@ def test_all_checks_match_on_golden_point():
 
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
-        run_check(validate(1, 2, 2), "frobeniuss")
+        run_checks(validate(1, 2, 2), ("frobeniuss",))
 
 
 def test_structural_checks_skip_two_generator_points():
     p = validate(1, 2, 2)
-    assert run_check(p, "minors").status == STATUS_SKIPPED_UNSUPPORTED
-    assert run_check(p, "recursive").status == STATUS_SKIPPED_UNSUPPORTED
+    assert run_checks(p, ("minors",))[0].status == STATUS_SKIPPED_UNSUPPORTED
+    assert run_checks(p, ("recursive",))[0].status == STATUS_SKIPPED_UNSUPPORTED
 
 
 def test_recursive_skips_when_smaller_triple_invalid():
     # (2, 5, 3) is valid but (2, 5, 2) has gcd(6, 2) = 2
-    row = run_check(validate(2, 5, 3), "recursive")
+    row = run_checks(validate(2, 5, 3), ("recursive",))[0]
     assert row.status == STATUS_SKIPPED_UNSUPPORTED
     assert "invalid" in row.note
 
@@ -80,7 +80,7 @@ def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
         pytest.fail("the oracle pass ran before the cap was checked")
 
     monkeypatch.setattr(oracle, "apery_lengths", refuse)
-    row = run_check(validate(3, 3, 4), "homogeneous", Caps(apery=10))
+    row = run_checks(validate(3, 3, 4), ("homogeneous",), Caps(apery=10))[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note == "40 coefficient tuples exceed cap 10"
 
@@ -91,21 +91,21 @@ def test_apery_cap_refuses_before_the_oracle_bundle(monkeypatch, check):
         pytest.fail("the oracle bundle was built before the Apéry cap was checked")
 
     monkeypatch.setattr(verify, "oracle_bundle", unreachable)
-    row = run_check(validate(3, 3, 4), check, Caps(apery=10))
+    row = run_checks(validate(3, 3, 4), (check,), Caps(apery=10))[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note == "40 coefficient tuples exceed cap 10"
 
 
 def test_sieve_refusal_keeps_precedence_over_the_apery_cap():
     # 2m = 80 cells over the sieve cap is refused before the Apéry stage
-    row = run_check(validate(3, 3, 4), "apery", Caps(apery=10, sieve=79))
+    row = run_checks(validate(3, 3, 4), ("apery",), Caps(apery=10, sieve=79))[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note.startswith("multiplicity 40 needs a sieve bound of at least 79")
 
 
 def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
     # n = 2 has no smaller triple, whatever the cap
-    row = run_check(validate(3, 3, 2), "recursive", Caps(apery=1))
+    row = run_checks(validate(3, 3, 2), ("recursive",), Caps(apery=1))[0]
     assert row.status == STATUS_SKIPPED_UNSUPPORTED
 
 
@@ -114,14 +114,14 @@ def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     real = oracle.apery_lengths
     forgetful = lambda sg, apery: real(oracle.GenericSemigroup((40, 52, 79)), apery)
     monkeypatch.setattr(oracle, "apery_lengths", forgetful)
-    row = run_check(validate(3, 3, 4), "homogeneous")
+    row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert row.status == STATUS_MISMATCH
     assert (row.closed, row.oracle) == (None, None)
     assert row.note == "Apéry element 43 is no sum of the generators"
 
 
 def test_apery_check_reports_digests():
-    row = run_check(validate(3, 3, 4), "apery")
+    row = run_checks(validate(3, 3, 4), ("apery",))[0]
     assert row.status == STATUS_MATCH
     assert row.closed == row.oracle
     assert row.closed["size"] == 40
@@ -192,7 +192,7 @@ def test_sweep_spec_validation():
 
 
 def test_outcome_shape():
-    row = run_check(validate(1, 2, 3), "frobenius")
+    row = run_checks(validate(1, 2, 3), ("frobenius",))[0]
     assert (row.a, row.b, row.n) == (1, 2, 3)
     assert row.check == "frobenius"
     assert row.closed == 19
@@ -214,32 +214,68 @@ def test_registry_is_the_schema_check_list():
     assert CHECK_NAMES == tuple(schema["$defs"]["checkName"]["enum"])
 
 
-def test_bundle_cache_holds_only_the_current_triple():
-    oracle_bundle.cache_clear()
-    spec = SweepSpec(a_range=(1, 4), b_range=(2, 3), n_range=(2, 3), checks=("frobenius", "genus"))
-    rows, _ = sweep(spec)
-    info = oracle_bundle.cache_info()
-    assert info.currsize <= 1
-    assert info.hits > 0  # the checks of one triple share its bundle
-    assert info.misses == len({(r.a, r.b, r.n) for r in rows if r.check != "validate"})
+def test_sweep_builds_one_bundle_per_valid_triple(monkeypatch):
+    built = []
+
+    def counting(params, sieve_cap):
+        built.append((params.a, params.b, params.n))
+        return oracle_bundle(params, sieve_cap)
+
+    monkeypatch.setattr(verify, "oracle_bundle", counting)
+    rows, _ = sweep(SweepSpec(a_range=(1, 4), b_range=(2, 3), n_range=(2, 3)))
+    # every check of a triple reads the one bundle built for it
+    assert built == list(dict.fromkeys((r.a, r.b, r.n) for r in rows if r.check != "validate"))
+
+
+def test_refused_oracle_is_built_once_for_all_checks(monkeypatch):
+    # (3, 3, 4): 2m = 80 fits the sieve cap, so the Apéry stage runs
+    # before the sieve to max Ap + max gen = 470 is refused
+    calls = []
+    real = oracle.apery_set
+
+    def counting(sg, q):
+        calls.append(q)
+        return real(sg, q)
+
+    monkeypatch.setattr(oracle, "apery_set", counting)
+    rows = run_checks(validate(3, 3, 4), caps=Caps(sieve=100))
+    assert [r.check for r in rows] == list(CHECK_NAMES)
+    assert {(r.status, r.note) for r in rows} == {
+        (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
+    }
+    assert calls == [40]
+
+
+def test_package_keeps_no_process_global_cache():
+    # what the checks of one triple share lives in run_checks; a functools
+    # cache would hold tables across triples and calls
+    banned = {"lru_cache", "cache", "cached_property"}
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = {node.attr}
+            else:
+                continue
+            assert not names & banned, f"{path.name}: {ast.unparse(node)}"
 
 
 def test_affine_needs_no_sieve_beyond_the_bundle():
     # (3, 3, 4): the bundle sieves up to max Ap + max gen = 470, while the
     # images of the affine map reach b*(F + 2m) = 1293
     p = validate(3, 3, 4)
-    inv = oracle_bundle(p.a, p.b, p.n, 1000).invariants
+    inv = oracle_bundle(p, 1000).invariants
     assert inv.sieve.bound < 1000 < p.b * (inv.frobenius + 2 * p.multiplicity)
-    assert run_check(p, "affine", Caps(sieve=1000)).status == STATUS_MATCH
+    assert run_checks(p, ("affine",), Caps(sieve=1000))[0].status == STATUS_MATCH
 
 
 def test_route_disagreement_is_a_mismatch_row(monkeypatch):
     def disagree(sg, inv=None):
         raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
 
-    oracle_bundle.cache_clear()
     monkeypatch.setattr(oracle, "pseudo_frobenius", disagree)
-    row = run_check(validate(3, 3, 4), "frobenius")
+    row = run_checks(validate(3, 3, 4), ("frobenius",))[0]
     assert row.status == STATUS_MISMATCH
     assert (row.closed, row.oracle) == (None, None)
     assert row.note == "pseudo-Frobenius routes disagree: planted"
