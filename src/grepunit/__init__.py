@@ -19,7 +19,6 @@ from .closed_form import (
     frobenius,
     genus,
     invariant_report,
-    is_homogeneous,
     lattice_matrix,
     maximal_minors,
     pseudo_frobenius,
@@ -66,7 +65,6 @@ __all__ = [
     "frobenius",
     "genus",
     "invariant_report",
-    "is_homogeneous",
     "lattice_matrix",
     "maximal_minors",
     "pseudo_frobenius",

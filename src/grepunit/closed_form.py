@@ -11,7 +11,7 @@ invariants from definitions; `verify` pits the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .arith import GrepunitParams, repunit
 from .errors import (
@@ -25,7 +25,7 @@ DEFAULT_APERY_CAP = 10**6
 AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
 
 
-def _check_cap(m: int, cap: Optional[int]) -> None:
+def check_cap(m: int, cap: Optional[int]) -> None:
     """Refuse an Apéry enumeration of m coefficient tuples over the cap."""
     if cap is not None and m > cap:
         raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
@@ -44,7 +44,7 @@ def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
     count = repunit(b, i)
-    _check_cap(count, cap)
+    check_cap(count, cap)
 
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -94,7 +94,7 @@ def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
     generator a_j at a time: the value sum(u_j * a_j) and factorization
     length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
     order."""
-    _check_cap(params.multiplicity, cap)
+    check_cap(params.multiplicity, cap)
     values, lengths = [0], [0]
     for g in params.generators()[1:]:
         values, lengths = _extend(values, lengths, g, params.b)
@@ -193,24 +193,12 @@ def apery_set_recursive(
             f"expected previous triple (a={params.a}, b={params.b}, n={params.n - 1}), "
             f"got (a={prev.a}, b={prev.b}, n={prev.n})"
         )
-    _check_cap(params.multiplicity, cap)
+    check_cap(params.multiplicity, cap)
     values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
     values = [v + shift * k for v, k in zip(values, lengths)]
     values, lengths = _extend(values, lengths, params.generators()[-1], params.b)
     return _residue_system(params.multiplicity, values, lengths)
-
-
-def is_homogeneous(apery: AperySet, length_masks: Mapping[int, int]) -> bool:
-    """Whether every element of an Apéry set, as `apery_set` builds it,
-    has as its full set of factorization lengths the singleton predicted
-    by its coefficient tuple.
-
-    `length_masks` comes from an independent oracle and maps each Apéry
-    element w to its length mask: bit k set iff w is a sum of exactly k
-    generators.  An element missing from it fails the check."""
-    values, lengths = apery
-    return all(length_masks.get(w) == 1 << k for w, k in zip(values, lengths))
 
 
 def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:

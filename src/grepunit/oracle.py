@@ -7,9 +7,9 @@ and popcount of that mask, Apéry sets as residue-indexed tables (entry r
 is the element congruent to r) by Böcker-Lipták round-robin over
 residue classes, pseudo-Frobenius numbers by the generator test on the
 Apéry set cross-checked against the raw definition on the membership
-mask, and the factorization lengths of the Apéry elements by one
-ascending pass over the Apéry table, each element's lengths read off
-those of the elements one generator below it.  Nothing in this module
+mask, and the factorization lengths of the Apéry elements by whole-mask
+length levels, each level the one below shifted by the generators and
+kept within the Apéry mask.  Nothing in this module
 consults the closed formulas it is used to check, nor the Apéry sets
 they build.
 """
@@ -311,33 +311,35 @@ def minimal_generators(values) -> list[int]:
     return [v for idx, v in enumerate(vals) if not _closure(vals[:idx], v) >> v & 1]
 
 
-def apery_lengths(sg: GenericSemigroup, apery: list[int]) -> list[int]:
+def apery_lengths(sg: GenericSemigroup, apery_mask: int) -> list[int]:
     """Factorization-length masks of the Apéry elements of the
-    multiplicity m: bit k of a mask is set iff the element is a sum of
-    exactly k generators.  `apery` is Ap(S, m) indexed by residue, as
-    `apery_set` returns it, and the masks come back in the same order.
+    multiplicity m, indexed by residue as `apery_set` returns the
+    elements: bit k of masks[r] is set iff the element congruent to r is
+    a sum of exactly k generators.  `apery_mask` has bit w set iff w is
+    in Ap(S, m).
 
     No factorization of w in Ap(S, m) uses m, and for a generator g,
     w - g in S forces w - g in Ap(S, m) (else w - m would be a member).
-    So L(w) is the union over g != m with w - g in Ap(S, m) of L(w - g)
-    shifted by one, read at residue w - g in one pass over the elements
-    in ascending order: O(e*m) time beside the sort, and O(m) memory.
+    So the elements of length k + 1 are those of length k shifted by a
+    generator g != m, kept within the mask: one pass of whole-mask
+    shifts per length, from the level {0}.
     """
     m = sg.multiplicity
     masks = [0] * m
-    masks[0] = 1  # the element 0, the least
     others = sg.gens[1:]
-    for w in sorted(apery)[1:]:
-        mask = 0
+    level, bit, reached = 1, 1, 0  # level k and bit k, from k = 0
+    while level:
+        reached |= level
+        for w in _set_bits(level):
+            masks[w % m] |= bit
+        shifted = 0
         for g in others:
-            if g > w:
-                break
-            r = (w - g) % m
-            if apery[r] == w - g:
-                mask |= masks[r]
-        if not mask:
-            raise RouteDisagreementError(f"Apéry element {w} is no sum of the generators")
-        masks[w % m] = mask << 1
+            shifted |= level << g
+        level, bit = shifted & apery_mask, bit << 1
+    missed = apery_mask ^ reached
+    if missed:
+        least = (missed & -missed).bit_length() - 1
+        raise RouteDisagreementError(f"Apéry element {least} is no sum of the generators")
     return masks
 
 

@@ -138,12 +138,20 @@ def _memo(build):
 
 class _Shared:
     """The inputs that the checks of one triple share: the oracle bundle
-    and the closed-form Apéry set of a_1, each built once, on first use."""
+    and the closed-form Apéry set of a_1, each built once, on first use,
+    the set only after its cap and the bundle have passed."""
 
     def __init__(self, params: GrepunitParams, caps: Caps):
         self.caps = caps
-        self.bundle = _memo(lambda: oracle_bundle(params, caps.sieve))
-        self.apery = _memo(lambda: closed_form.apery_set(params, cap=caps.apery))
+        # no build refers to self, so no cycle keeps a triple's tables alive
+        bundle = self.bundle = _memo(lambda: oracle_bundle(params, caps.sieve))
+
+        def build_apery() -> closed_form.AperySet:
+            closed_form.check_cap(params.multiplicity, caps.apery)
+            bundle()
+            return closed_form.apery_set(params, cap=caps.apery)
+
+        self.apery = _memo(build_apery)
 
 
 def _equal(closed, brute) -> tuple:
@@ -176,11 +184,14 @@ def _type(params, shared):
 
 
 def _homogeneous(params, shared):
-    closed = shared.apery()
+    closed = zip(*shared.apery())  # (value, length) per coefficient tuple
     inv = shared.bundle().invariants
     # the masks are built here, not in the bundle: no other check reads them
-    masks = dict(zip(inv.apery, oracle.apery_lengths(inv.semigroup, inv.apery)))
-    result = closed_form.is_homogeneous(closed, masks)
+    masks = oracle.apery_lengths(inv.semigroup, inv.apery_mask)
+    m = inv.semigroup.multiplicity
+    # each closed element must be the oracle's element of its class, with
+    # the single length its coefficient tuple predicts
+    result = all(inv.apery[w % m] == w and masks[w % m] == 1 << k for w, k in closed)
     return True, result, result
 
 
@@ -222,7 +233,6 @@ def _recursive(params, shared):
         shared.bundle()  # a refused or disagreeing oracle fails this row too
         raise _Unsupported(prev)
     direct = shared.apery()
-    shared.bundle()
     lifted = closed_form.apery_set_recursive(prev, params, cap=shared.caps.apery)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
@@ -242,7 +252,8 @@ def _affine(params, shared):
 # Check name -> f(params, shared) -> (closed, oracle, matched).  A check
 # raises CapacityError or _Unsupported to be skipped, and asks for its
 # shared inputs in the order of the notes' precedence: the closed-form
-# Apéry cap, then the oracle bundle, then its own skipped-unsupported.
+# Apéry cap (`shared.apery()` tests it, then asks for the bundle itself),
+# then the oracle bundle, then its own skipped-unsupported.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,

@@ -345,8 +345,8 @@ def test_wide_length_slot_output_is_pinned(capsys):
 
 
 # sha256 and exit code of JSON documents that the sweep pins never reach:
-# ints beyond 2**53, the oracle report, the error document, and null
-# values with notes
+# ints beyond 2**53, the oracle report, the error document, null values
+# with notes, and every check (homogeneity included) at m = 111111
 DOCUMENT_PINS = {
     ("report", "-a", "1", "-b", "2", "-n", "60", "--format", "json"):
         ("c003dbf3d1b1f0621bbeb27aba9683e05ed80d0bbc20a0c547c97733848e29af", EXIT_OK),
@@ -357,6 +357,8 @@ DOCUMENT_PINS = {
     ("verify", "-a", "3", "-b", "3", "-n", "4", "--checks", "apery,homogeneous", "--cap", "10",
      "--format", "json"):
         ("1ec1ab12d9c2e075ffe7596f25ab43cae295bcad72e34b8d1758fa16b517a1be", EXIT_CAPACITY),
+    ("verify", "-a", "1", "-b", "10", "-n", "6", "--checks", "all", "--format", "json"):
+        ("b78b0747205dbc26100d89c9d24d5361d08d0baebd24e04ae38959b67fcc0a44", EXIT_OK),
 }
 
 

@@ -255,17 +255,32 @@ def test_recursive_apery_respects_cap(monkeypatch):
         closed_form.apery_set_recursive(validate(1, 10, 5), validate(1, 10, 6), cap=50000)
 
 
-def test_homogeneous_golden():
-    sg = oracle.GenericSemigroup.from_values(GOLDEN.generators())
-    apery = oracle.basic_invariants(sg).apery
-    masks = dict(zip(apery, oracle.apery_lengths(sg, apery)))
-    closed = closed_form.apery_set(GOLDEN)
-    assert closed_form.is_homogeneous(closed, masks)
+def test_homogeneous_golden(monkeypatch):
+    assert run_checks(GOLDEN, ("homogeneous",))[0].status == "match"
 
     # a second length planted on one element breaks homogeneity
-    planted = dict(masks)
-    planted[apery[-1]] |= planted[apery[-1]] << 1
-    assert not closed_form.is_homogeneous(closed, planted)
+    real = oracle.apery_lengths
+
+    def planted(sg, apery_mask):
+        masks = real(sg, apery_mask)
+        masks[-1] |= masks[-1] << 1
+        return masks
+
+    monkeypatch.setattr(oracle, "apery_lengths", planted)
+    assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
+
+
+def test_homogeneous_compares_the_values_too(monkeypatch):
+    # one nonzero value moved up by m stays in its residue class and keeps
+    # its length, so only the value test can catch it
+    real = closed_form.apery_set
+
+    def moved(params, cap):
+        values, lengths = real(params, cap)
+        return (0, values[1] + params.multiplicity, *values[2:]), lengths
+
+    monkeypatch.setattr(closed_form, "apery_set", moved)
+    assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
 
 
 def member_table(params) -> bytes:

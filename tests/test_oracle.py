@@ -1,6 +1,7 @@
 """Brute-force engine against textbook semigroups and pairwise identities."""
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -164,6 +165,30 @@ def test_pseudo_frobenius_known_values():
     assert oracle.pseudo_frobenius(sg(6, 9, 20)) == [43]  # symmetric, type 1
 
 
+def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(monkeypatch):
+    # Ap(<7, 8, 10>, 7) = {0, 8, 10, 16, 18, 20, 26}: 8 up to 15 and 16
+    # down to 9 keep the residues, the sum and the maximum, so F and the
+    # genus agree and only the comparison with the sieve is left to fail
+    real = oracle.apery_set
+
+    def shuffled(s, q):
+        ap = real(s, q)
+        ap[8 % q] += q
+        ap[16 % q] -= q
+        return ap
+
+    monkeypatch.setattr(oracle, "apery_set", shuffled)
+    with pytest.raises(RouteDisagreementError, match="Apéry set disagrees with the sieve"):
+        oracle.basic_invariants(sg(7, 8, 10))
+
+
+def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
+    inv = oracle.basic_invariants(sg(7, 8, 10))
+    cleared = dataclasses.replace(inv, apery_mask=inv.apery_mask ^ 1 << max(inv.apery))
+    with pytest.raises(RouteDisagreementError, match="pseudo-Frobenius routes disagree"):
+        oracle.pseudo_frobenius(sg(7, 8, 10), cleared)
+
+
 def test_minimal_generators_drop_redundant():
     assert oracle.minimal_generators([3, 8, 11, 14]) == [3, 8]
     assert oracle.minimal_generators([40, 43, 52, 79]) == [40, 43, 52, 79]
@@ -172,8 +197,8 @@ def test_minimal_generators_drop_redundant():
 
 
 def apery_masks(s) -> dict[int, int]:
-    apery = oracle.basic_invariants(s).apery
-    return dict(zip(apery, oracle.apery_lengths(s, apery)))
+    inv = oracle.basic_invariants(s)
+    return dict(zip(inv.apery, oracle.apery_lengths(s, inv.apery_mask)))
 
 
 def test_length_set_values():
@@ -187,9 +212,9 @@ def test_length_set_values():
 
 
 def test_apery_lengths_refuse_an_element_no_generator_reaches():
-    # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the list
+    # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the mask
     with pytest.raises(RouteDisagreementError, match="43"):
-        oracle.apery_lengths(sg(6, 9, 20), [0, 43, 20, 9, 40, 29])
+        oracle.apery_lengths(sg(6, 9, 20), sum(1 << w for w in (0, 43, 20, 9, 40, 29)))
 
 
 def test_wilf_data_known_semigroup():

@@ -1,6 +1,8 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
 import ast
+import functools
+import gc
 import json
 import math
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grepunit import oracle, verify
+from grepunit import closed_form, oracle, verify
 from grepunit.arith import repunit, validate
 from grepunit.closed_form import frobenius, invariant_report
 from grepunit.errors import RouteDisagreementError
@@ -76,7 +78,7 @@ def test_recursive_skips_when_smaller_triple_invalid():
 
 
 def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
-    def refuse(sg, apery):
+    def refuse(sg, apery_mask):
         pytest.fail("the oracle pass ran before the cap was checked")
 
     monkeypatch.setattr(oracle, "apery_lengths", refuse)
@@ -112,12 +114,74 @@ def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
 def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     # an oracle that forgets the generator 43 finds no factorization of it
     real = oracle.apery_lengths
-    forgetful = lambda sg, apery: real(oracle.GenericSemigroup((40, 52, 79)), apery)
+    forgetful = lambda sg, apery_mask: real(oracle.GenericSemigroup((40, 52, 79)), apery_mask)
     monkeypatch.setattr(oracle, "apery_lengths", forgetful)
     row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert row.status == STATUS_MISMATCH
     assert (row.closed, row.oracle) == (None, None)
     assert row.note == "Apéry element 43 is no sum of the generators"
+
+
+def same_sum_other_values(real, params, cap):
+    # one value up by m and one down by m: the same residues, size and sum
+    values, lengths = real(params, cap=cap)
+    m = params.multiplicity
+    return (0, values[1] + m, values[2] - m, *values[3:]), lengths
+
+
+def one_length_off(real, prev, params, cap):
+    values, lengths = real(prev, params, cap=cap)
+    return values, (*lengths[:-1], lengths[-1] + 1)
+
+
+def absolute_minors(real, matrix):
+    return [abs(minor) for minor in real(matrix)]
+
+
+def sum_off_by_one(real, params):
+    return real(params) + 1
+
+
+@pytest.mark.parametrize(
+    "check, name, fault",
+    [
+        ("apery", "apery_set", same_sum_other_values),
+        ("recursive", "apery_set_recursive", one_length_off),
+        ("minors", "maximal_minors", absolute_minors),
+        ("apery", "apery_sum", sum_off_by_one),
+    ],
+)
+def test_planted_closed_form_fault_is_a_mismatch_row(monkeypatch, check, name, fault):
+    real = getattr(closed_form, name)
+    monkeypatch.setattr(closed_form, name, functools.partial(fault, real))
+    row = run_checks(validate(3, 3, 4), (check,))[0]
+    assert row.status == STATUS_MISMATCH
+
+
+def test_refused_bundle_spares_the_closed_apery_build(monkeypatch):
+    def unbuilt(params, cap):
+        pytest.fail("the closed-form Apéry set was built for a refused oracle bundle")
+
+    monkeypatch.setattr(closed_form, "apery_set", unbuilt)
+    rows = run_checks(validate(3, 3, 4), ("apery", "homogeneous", "recursive"), Caps(sieve=100))
+    assert {(r.status, r.note) for r in rows} == {
+        (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
+    }
+
+
+def test_run_checks_leaves_no_cyclic_garbage():
+    # a reference cycle through the per-triple memo would keep the
+    # triple's tables alive until the cyclic collector ran
+    p = validate(3, 3, 4)
+    run_checks(p)
+    gc.collect()
+    gc.disable()
+    try:
+        for caps in (Caps(), Caps(sieve=100), Caps(apery=10)):
+            run_checks(p, caps=caps)
+            assert gc.collect() == 0, caps
+    finally:
+        gc.enable()
 
 
 def test_apery_check_reports_digests():
