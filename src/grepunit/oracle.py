@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
@@ -117,21 +116,13 @@ def _set_bits(mask: int) -> list[int]:
 class MembershipSieve:
     """Exact membership table for 0..bound.
 
-    Lookup beyond the bound raises instead of guessing, so a check that
-    outgrows its sieve fails loudly.
+    A table asked for beyond the bound raises instead of guessing, so a
+    check that outgrows its sieve fails loudly.
     """
 
     bound: int
     # kept out of repr: a mask past 4300 decimal digits cannot be printed
     mask: int = field(repr=False)  # bit x set iff x is a member
-    bits: bytes = field(repr=False)  # the mask, little-endian, for O(1) lookup
-
-    def __contains__(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x > self.bound:
-            raise CapacityError(f"membership query {x} beyond sieve bound {self.bound}")
-        return bool(self.bits[x >> 3] >> (x & 7) & 1)
 
     def flags(self, upto: int) -> bytes:
         """One byte per integer of 0..upto: 1 for a member, 0 for a gap."""
@@ -149,8 +140,7 @@ def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> Mem
         raise ValueError(f"sieve bound {bound} below largest generator {max(sg.gens)}")
     if bound + 1 > cap:
         raise CapacityError(f"sieve bound {bound} exceeds capacity cap {cap}")
-    mask = _closure(sg.gens, bound)
-    return MembershipSieve(bound, mask, mask.to_bytes((bound >> 3) + 1, "little"))
+    return MembershipSieve(bound, _closure(sg.gens, bound))
 
 
 def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
@@ -263,9 +253,7 @@ def basic_invariants(
     return SemigroupInvariants(sg, ap, ap_mask, sv, f_sieve, g_sieve, n_below)
 
 
-def pseudo_frobenius(
-    sg: GenericSemigroup, inv: Optional[SemigroupInvariants] = None
-) -> list[int]:
+def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     """Pseudo-Frobenius numbers, ascending.
 
     Computed from the Apéry set alone as {w - m : w maximal in Ap(S, m)
@@ -276,8 +264,7 @@ def pseudo_frobenius(
     every generator g (adding a generator at a time reaches every nonzero
     member).
     """
-    if inv is None:
-        inv = basic_invariants(sg)
+    sg = inv.semigroup
     maximal = inv.apery_mask
     for g in sg.gens[1:]:
         maximal ^= maximal & (inv.apery_mask >> g)
@@ -289,41 +276,35 @@ def pseudo_frobenius(
     for g in sg.gens:
         candidates &= s >> g
     direct = _set_bits(candidates)
-    if all((g - 1) in inv.sieve for g in sg.gens):  # x = -1, which qualifies iff S = N
+    if all(s & 1 << (g - 1) for g in sg.gens):  # x = -1, which qualifies iff S = N
         direct.insert(0, -1)
     if pf != direct:
         raise RouteDisagreementError(f"pseudo-Frobenius routes disagree: {pf} vs {direct}")
     return pf
 
 
-def minimal_generators(values) -> list[int]:
-    """Unique minimal generating set of the semigroup the values generate.
+def minimal_generators(sg: GenericSemigroup) -> list[int]:
+    """Unique minimal generating set of the semigroup.
 
     An element is redundant exactly when it is a sum of smaller ones.
     """
-    vals = sorted(set(values))
-    if not vals or any(v <= 0 for v in vals):
-        raise NotNumericalSemigroupError(f"generators must be positive: {values}")
-    if math.gcd(*vals) != 1:
-        raise NotNumericalSemigroupError(
-            f"gcd{tuple(vals)} != 1: not a numerical semigroup"
-        )
-    return [v for idx, v in enumerate(vals) if not _closure(vals[:idx], v) >> v & 1]
+    gens = sg.gens
+    return [v for idx, v in enumerate(gens) if not _closure(gens[:idx], v) >> v & 1]
 
 
-def apery_lengths(sg: GenericSemigroup, apery_mask: int) -> list[int]:
+def apery_lengths(inv: SemigroupInvariants) -> list[int]:
     """Factorization-length masks of the Apéry elements of the
-    multiplicity m, indexed by residue as `apery_set` returns the
+    multiplicity m, indexed by residue as `inv.apery` holds the
     elements: bit k of masks[r] is set iff the element congruent to r is
-    a sum of exactly k generators.  `apery_mask` has bit w set iff w is
-    in Ap(S, m).
+    a sum of exactly k generators.
 
     No factorization of w in Ap(S, m) uses m, and for a generator g,
     w - g in S forces w - g in Ap(S, m) (else w - m would be a member).
     So the elements of length k + 1 are those of length k shifted by a
-    generator g != m, kept within the mask: one pass of whole-mask
+    generator g != m, kept within the Apéry mask: one pass of whole-mask
     shifts per length, from the level {0}.
     """
+    sg, apery_mask = inv.semigroup, inv.apery_mask
     m = sg.multiplicity
     masks = [0] * m
     others = sg.gens[1:]
@@ -356,16 +337,9 @@ class WilfData:
     type_bound_ok: bool
 
 
-def wilf_data(
-    sg: GenericSemigroup,
-    inv: Optional[SemigroupInvariants] = None,
-    pf: Optional[list[int]] = None,
-) -> WilfData:
-    if inv is None:
-        inv = basic_invariants(sg)
-    if pf is None:
-        pf = pseudo_frobenius(sg, inv)
-    e = len(minimal_generators(sg.gens))
+def wilf_data(inv: SemigroupInvariants, pf: list[int]) -> WilfData:
+    """Wilf and type bounds of `inv`'s semigroup, whose pseudo-Frobenius numbers are `pf`."""
+    e = len(minimal_generators(inv.semigroup))
     t = len(pf)
     return WilfData(
         frobenius=inv.frobenius,

@@ -78,8 +78,8 @@ class OracleBundle:
 def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
     sg = oracle.GenericSemigroup.from_values(params.generators())
     inv = oracle.basic_invariants(sg, sieve_cap=sieve_cap)
-    pf = oracle.pseudo_frobenius(sg, inv)
-    wilf = oracle.wilf_data(sg, inv, pf)
+    pf = oracle.pseudo_frobenius(inv)
+    wilf = oracle.wilf_data(inv, pf)
     return OracleBundle(inv, tuple(pf), wilf)
 
 
@@ -101,7 +101,7 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
     pf = bundle.pseudo_frobenius
     return closed_form.InvariantReport(
         params=params,
-        generators=tuple(oracle.minimal_generators(inv.semigroup.gens)),
+        generators=tuple(oracle.minimal_generators(inv.semigroup)),
         frobenius=inv.frobenius,
         genus=inv.genus,
         pseudo_frobenius=pf,
@@ -187,7 +187,7 @@ def _homogeneous(params, shared):
     closed = zip(*shared.apery())  # (value, length) per coefficient tuple
     inv = shared.bundle().invariants
     # the masks are built here, not in the bundle: no other check reads them
-    masks = oracle.apery_lengths(inv.semigroup, inv.apery_mask)
+    masks = oracle.apery_lengths(inv)
     m = inv.semigroup.multiplicity
     # each closed element must be the oracle's element of its class, with
     # the single length its coefficient tuple predicts

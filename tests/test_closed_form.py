@@ -261,8 +261,8 @@ def test_homogeneous_golden(monkeypatch):
     # a second length planted on one element breaks homogeneity
     real = oracle.apery_lengths
 
-    def planted(sg, apery_mask):
-        masks = real(sg, apery_mask)
+    def planted(inv):
+        masks = real(inv)
         masks[-1] |= masks[-1] << 1
         return masks
 

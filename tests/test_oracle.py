@@ -21,6 +21,10 @@ def sg(*gens):
     return oracle.GenericSemigroup.from_values(gens)
 
 
+def pf(*gens):
+    return oracle.pseudo_frobenius(oracle.basic_invariants(sg(*gens)))
+
+
 def test_rejects_non_semigroup_generators():
     with pytest.raises(NotNumericalSemigroupError):
         sg(4, 6)  # gcd 2, infinite complement
@@ -34,13 +38,12 @@ def test_sieve_membership():
     s = oracle.sieve(sg(3, 8), 20)
     members = {0, 3, 6, 8, 9, 11, 12, 14, 15, 16, 17, 18, 19, 20}
     for x in range(21):
-        assert (x in s) == (x in members)
-    assert -5 not in s
+        assert (s.mask >> x & 1) == (x in members)
     with pytest.raises(CapacityError):
-        31 in s
+        s.flags(31)
     s = oracle.sieve(sg(7, 8, 10), 30)
-    assert 19 not in s
-    assert 20 in s
+    assert not s.mask >> 19 & 1
+    assert s.mask >> 20 & 1
 
 
 def test_sieve_cap():
@@ -123,6 +126,16 @@ def test_route_disagreement_survives_optimized_mode():
     assert "RouteDisagreementError" in proc.stderr
 
 
+def test_oracle_stages_take_no_none_default():
+    # a None default let a stage rebuild the invariants at the default
+    # sieve cap, ignoring the caller's
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for default in node.args.defaults + node.args.kw_defaults:
+                assert not (isinstance(default, ast.Constant) and default.value is None), node.name
+
+
 def test_oracle_never_imports_closed_form_or_apery():
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
@@ -149,6 +162,9 @@ def test_whole_line_has_no_gaps():
     assert inv.frobenius == -1
     assert inv.genus == 0
     assert inv.n_below == 0
+    # S = N: only x = -1 is a pseudo-Frobenius number, found by both routes
+    assert pf(1) == [-1]
+    assert pf(1, 5) == [-1]
 
 
 def test_smallest_proper_semigroup():
@@ -156,13 +172,13 @@ def test_smallest_proper_semigroup():
     assert inv.frobenius == 1
     assert inv.genus == 1
     assert inv.n_below == 1
-    assert oracle.pseudo_frobenius(sg(2, 3)) == [1]
+    assert oracle.pseudo_frobenius(inv) == [1]
 
 
 def test_pseudo_frobenius_known_values():
-    assert oracle.pseudo_frobenius(sg(7, 8, 10)) == [13, 19]
-    assert oracle.pseudo_frobenius(sg(3, 8)) == [13]
-    assert oracle.pseudo_frobenius(sg(6, 9, 20)) == [43]  # symmetric, type 1
+    assert pf(7, 8, 10) == [13, 19]
+    assert pf(3, 8) == [13]
+    assert pf(6, 9, 20) == [43]  # symmetric, type 1
 
 
 def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(monkeypatch):
@@ -186,19 +202,19 @@ def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
     inv = oracle.basic_invariants(sg(7, 8, 10))
     cleared = dataclasses.replace(inv, apery_mask=inv.apery_mask ^ 1 << max(inv.apery))
     with pytest.raises(RouteDisagreementError, match="pseudo-Frobenius routes disagree"):
-        oracle.pseudo_frobenius(sg(7, 8, 10), cleared)
+        oracle.pseudo_frobenius(cleared)
 
 
 def test_minimal_generators_drop_redundant():
-    assert oracle.minimal_generators([3, 8, 11, 14]) == [3, 8]
-    assert oracle.minimal_generators([40, 43, 52, 79]) == [40, 43, 52, 79]
-    assert oracle.minimal_generators([7, 8, 10, 15]) == [7, 8, 10]
-    assert oracle.minimal_generators([1, 5]) == [1]
+    assert oracle.minimal_generators(sg(3, 8, 11, 14)) == [3, 8]
+    assert oracle.minimal_generators(sg(40, 43, 52, 79)) == [40, 43, 52, 79]
+    assert oracle.minimal_generators(sg(7, 8, 10, 15)) == [7, 8, 10]
+    assert oracle.minimal_generators(sg(1, 5)) == [1]
 
 
 def apery_masks(s) -> dict[int, int]:
     inv = oracle.basic_invariants(s)
-    return dict(zip(inv.apery, oracle.apery_lengths(s, inv.apery_mask)))
+    return dict(zip(inv.apery, oracle.apery_lengths(inv)))
 
 
 def test_length_set_values():
@@ -213,18 +229,37 @@ def test_length_set_values():
 
 def test_apery_lengths_refuse_an_element_no_generator_reaches():
     # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the mask
+    inv = oracle.basic_invariants(sg(6, 9, 20))
+    planted = dataclasses.replace(inv, apery_mask=sum(1 << w for w in (0, 43, 20, 9, 40, 29)))
     with pytest.raises(RouteDisagreementError, match="43"):
-        oracle.apery_lengths(sg(6, 9, 20), sum(1 << w for w in (0, 43, 20, 9, 40, 29)))
+        oracle.apery_lengths(planted)
 
 
 def test_wilf_data_known_semigroup():
-    data = oracle.wilf_data(sg(7, 8, 10))
+    inv = oracle.basic_invariants(sg(7, 8, 10))
+    data = oracle.wilf_data(inv, oracle.pseudo_frobenius(inv))
     assert data.frobenius == 19
     assert data.embedding_dimension == 3
     assert data.type == 2
     assert data.n_below == 9
     assert data.wilf_ok  # 19 <= 3*9 - 1
     assert data.type_bound_ok  # 19 <= 3*9 - 1
+
+
+def test_wilf_data_bounds_can_fail():
+    # <6, 9, 20>: F = 43, e = 3, t = 1; with n(S) planted at 20 only the
+    # type bound fails (43 <= 3*20 - 1, 43 > 2*20 - 1), at 10 both do
+    inv = oracle.basic_invariants(sg(6, 9, 20))
+    pfs = oracle.pseudo_frobenius(inv)
+    data = oracle.wilf_data(dataclasses.replace(inv, n_below=20), pfs)
+    assert (data.wilf_ok, data.type_bound_ok) == (True, False)
+    data = oracle.wilf_data(dataclasses.replace(inv, n_below=10), pfs)
+    assert (data.wilf_ok, data.type_bound_ok) == (False, False)
+    # 15 = 7 + 8 is redundant, so e = 3 and 19 > 3*6 - 1 (with e = 4, 19 <= 4*6 - 1)
+    inv = oracle.basic_invariants(sg(7, 8, 10, 15))
+    data = oracle.wilf_data(dataclasses.replace(inv, n_below=6), oracle.pseudo_frobenius(inv))
+    assert data.embedding_dimension == 3
+    assert not data.wilf_ok
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +270,7 @@ def test_two_generator_identities(p, q):
     inv = oracle.basic_invariants(sg(p, q))
     assert inv.frobenius == p * q - p - q
     assert inv.genus == (p - 1) * (q - 1) // 2
-    assert oracle.pseudo_frobenius(sg(p, q)) == [p * q - p - q]
+    assert oracle.pseudo_frobenius(inv) == [p * q - p - q]
 
 
 def test_membership_flags():
@@ -254,6 +289,6 @@ def test_gap_count_matches_gap_list(gens):
         return
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(gens))
     sv = inv.sieve
-    gaps = [x for x in range(sv.bound + 1) if x not in sv]
+    gaps = [x for x in range(sv.bound + 1) if not sv.mask >> x & 1]
     assert inv.genus == len(gaps)
     assert inv.frobenius == (max(gaps) if gaps else -1)

@@ -1,6 +1,7 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
 import ast
+import dataclasses
 import functools
 import gc
 import json
@@ -78,7 +79,7 @@ def test_recursive_skips_when_smaller_triple_invalid():
 
 
 def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
-    def refuse(sg, apery_mask):
+    def refuse(inv):
         pytest.fail("the oracle pass ran before the cap was checked")
 
     monkeypatch.setattr(oracle, "apery_lengths", refuse)
@@ -114,7 +115,7 @@ def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
 def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     # an oracle that forgets the generator 43 finds no factorization of it
     real = oracle.apery_lengths
-    forgetful = lambda sg, apery_mask: real(oracle.GenericSemigroup((40, 52, 79)), apery_mask)
+    forgetful = lambda inv: real(dataclasses.replace(inv, semigroup=oracle.GenericSemigroup((40, 52, 79))))
     monkeypatch.setattr(oracle, "apery_lengths", forgetful)
     row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert row.status == STATUS_MISMATCH
@@ -334,8 +335,16 @@ def test_affine_needs_no_sieve_beyond_the_bundle():
     assert run_checks(p, ("affine",), Caps(sieve=1000))[0].status == STATUS_MATCH
 
 
+def test_wilf_row_reads_the_closed_report(monkeypatch):
+    # both bounds hold on every valid triple, so only a planted closed-side
+    # failure shows that the row compares the two sides
+    real = closed_form.invariant_report
+    monkeypatch.setattr(closed_form, "invariant_report", lambda p: dataclasses.replace(real(p), wilf_ok=False))
+    assert run_checks(validate(3, 3, 4), ("wilf",))[0].status == STATUS_MISMATCH
+
+
 def test_route_disagreement_is_a_mismatch_row(monkeypatch):
-    def disagree(sg, inv=None):
+    def disagree(inv):
         raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
 
     monkeypatch.setattr(oracle, "pseudo_frobenius", disagree)
