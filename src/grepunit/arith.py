@@ -8,7 +8,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidBaseError,
@@ -30,8 +30,7 @@ def repunit(b: int, length: int) -> int:
     return (b**length - 1) // (b - 1)
 
 
-@dataclass(frozen=True)
-class GrepunitParams:
+class GrepunitParams(NamedTuple("GrepunitParams", [("a", int), ("b", int), ("n", int)])):
     """Validated parameter triple (a, b, n) of a generalized repunit
     numerical semigroup: the semigroup generated by
     a_i = repunit(b, n) + a * repunit(b, i - 1).
@@ -41,20 +40,21 @@ class GrepunitParams:
     the generated monoid a numerical semigroup.
     """
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < 2:
-            raise InvalidBaseError(self.b)
-        if self.n < 2:
-            raise InvalidLengthError(self.n)
-        if self.a < 1:
-            raise InvalidShiftError(self.a)
-        g = math.gcd(repunit(self.b, self.n), self.a)
+    def __new__(cls, a: int, b: int, n: int):
+        if b < 2:
+            raise InvalidBaseError(b)
+        if n < 2:
+            raise InvalidLengthError(n)
+        if a < 1:
+            raise InvalidShiftError(a)
+        g = math.gcd(repunit(b, n), a)
         if g != 1:
-            raise NotCoprimeError(self.a, self.b, self.n, g)
+            raise NotCoprimeError(a, b, n, g)
+        return super().__new__(cls, a, b, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates again
 
     @property
     def multiplicity(self) -> int:

@@ -192,7 +192,7 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) ->
             "kind": kind,
             "version": __version__,
             **header,
-            "rows": [vars(r) for r in rows],  # the fields, in declaration order
+            "rows": [r._asdict() for r in rows],  # a dict of the fields, in declaration order
             "summary": summary,
         }
         return to_json(doc) + "\n"

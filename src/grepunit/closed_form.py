@@ -10,8 +10,7 @@ invariants from definitions; `verify` pits the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import GrepunitParams, repunit
 from .errors import (
@@ -234,8 +233,7 @@ def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:
     return int.from_bytes(src, "little") & ~int.from_bytes(img, "little") == 0
 
 
-@dataclass(frozen=True)
-class LatticeMatrix:
+class LatticeMatrix(NamedTuple):
     """(n-1) x n integer matrix whose rows annihilate the generator
     vector; its rows span the relation lattice of the semigroup."""
 
@@ -302,8 +300,7 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """All invariants of one semigroup, with the route that produced them."""
 
     params: GrepunitParams

@@ -17,31 +17,33 @@ they build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
 DEFAULT_SIEVE_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class GenericSemigroup:
+class GenericSemigroup(NamedTuple("GenericSemigroup", [("gens", tuple[int, ...])])):
     """A numerical semigroup given by a finite generating set with gcd 1."""
 
-    gens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gens:
+    def __new__(cls, gens: tuple[int, ...]):
+        if not gens:
             raise NotNumericalSemigroupError("empty generating set")
-        if any(g <= 0 for g in self.gens):
-            raise NotNumericalSemigroupError(f"generators must be positive: {self.gens}")
-        if list(self.gens) != sorted(set(self.gens)):
-            raise NotNumericalSemigroupError(f"generators must be ascending and distinct: {self.gens}")
-        g = math.gcd(*self.gens)
+        if any(g <= 0 for g in gens):
+            raise NotNumericalSemigroupError(f"generators must be positive: {gens}")
+        if list(gens) != sorted(set(gens)):
+            raise NotNumericalSemigroupError(f"generators must be ascending and distinct: {gens}")
+        g = math.gcd(*gens)
         if g != 1:
             raise NotNumericalSemigroupError(
-                f"gcd{self.gens} = {g}, must be 1 for the complement to be finite"
+                f"gcd{gens} = {g}, must be 1 for the complement to be finite"
             )
+        return super().__new__(cls, gens)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates again
 
     @classmethod
     def from_values(cls, values) -> "GenericSemigroup":
@@ -112,8 +114,7 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class MembershipSieve:
+class MembershipSieve(NamedTuple):
     """Exact membership table for 0..bound.
 
     A table asked for beyond the bound raises instead of guessing, so a
@@ -121,8 +122,10 @@ class MembershipSieve:
     """
 
     bound: int
-    # kept out of repr: a mask past 4300 decimal digits cannot be printed
-    mask: int = field(repr=False)  # bit x set iff x is a member
+    mask: int  # bit x set iff x is a member
+
+    def __repr__(self):  # no mask: past 4300 decimal digits it cannot be printed
+        return f"MembershipSieve(bound={self.bound})"
 
     def flags(self, upto: int) -> bytes:
         """One byte per integer of 0..upto: 1 for a member, 0 for a gap."""
@@ -185,17 +188,20 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
     return best
 
 
-@dataclass(frozen=True)
-class SemigroupInvariants:
+class SemigroupInvariants(NamedTuple):
     """Frobenius number, genus and friends, each computed two ways."""
 
     semigroup: GenericSemigroup
     apery: list[int]  # Ap(S, m) by residue: apery[r] is the element congruent to r mod m
-    apery_mask: int = field(repr=False)  # bit w set iff w is in Ap(S, m)
+    apery_mask: int  # bit w set iff w is in Ap(S, m)
     sieve: MembershipSieve
     frobenius: int
     genus: int
     n_below: int  # members strictly below the Frobenius number
+
+    def __repr__(self):  # no mask, as for MembershipSieve
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items() if k != "apery_mask")
+        return f"SemigroupInvariants({fields})"
 
 
 def check_multiplicity(m: int, sieve_cap: int = DEFAULT_SIEVE_CAP) -> None:
@@ -324,26 +330,30 @@ def apery_lengths(inv: SemigroupInvariants) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class WilfData:
+class WilfData(NamedTuple):
     """Wilf-inequality report: F <= e*n(S) - 1, plus the sharper bound
-    F <= (t+1)*n(S) - 1 with t the type."""
+    F <= (t+1)*n(S) - 1 with t the type and e the embedding dimension,
+    the size of the minimal generating set."""
 
     frobenius: int
-    embedding_dimension: int
+    minimal_generators: tuple[int, ...]
     type: int
     n_below: int
     wilf_ok: bool
     type_bound_ok: bool
 
+    @property
+    def embedding_dimension(self) -> int:
+        return len(self.minimal_generators)
+
 
 def wilf_data(inv: SemigroupInvariants, pf: list[int]) -> WilfData:
     """Wilf and type bounds of `inv`'s semigroup, whose pseudo-Frobenius numbers are `pf`."""
-    e = len(minimal_generators(inv.semigroup))
-    t = len(pf)
+    gens = tuple(minimal_generators(inv.semigroup))
+    e, t = len(gens), len(pf)
     return WilfData(
         frobenius=inv.frobenius,
-        embedding_dimension=e,
+        minimal_generators=gens,
         type=t,
         n_below=inv.n_below,
         wilf_ok=inv.frobenius <= e * inv.n_below - 1,

@@ -13,8 +13,7 @@ output is deterministic.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import closed_form, oracle
 from .arith import GrepunitParams, validate
@@ -34,16 +33,14 @@ STATUS_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Capacity limits threaded through every check."""
 
     apery: int = closed_form.DEFAULT_APERY_CAP
     sieve: int = oracle.DEFAULT_SIEVE_CAP
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     """Result of one check on one parameter triple.
 
     `closed` and `oracle` hold the two independently computed values
@@ -65,8 +62,7 @@ class VerifyOutcome:
         return self.status != STATUS_MISMATCH
 
 
-@dataclass(frozen=True)
-class OracleBundle:
+class OracleBundle(NamedTuple):
     """Everything the brute-force engine knows about one triple, computed
     once and shared by all its checks."""
 
@@ -101,7 +97,7 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
     pf = bundle.pseudo_frobenius
     return closed_form.InvariantReport(
         params=params,
-        generators=tuple(oracle.minimal_generators(inv.semigroup)),
+        generators=bundle.wilf.minimal_generators,
         frobenius=inv.frobenius,
         genus=inv.genus,
         pseudo_frobenius=pf,
@@ -295,27 +291,28 @@ def run_checks(
     return [_row(params, check, shared) for check in checks]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple("SweepSpec", [
+    ("a_range", tuple[int, int]), ("b_range", tuple[int, int]), ("n_range", tuple[int, int]),
+    ("checks", tuple[str, ...]), ("skip_invalid", bool),
+])):
     """Inclusive parameter grid plus the checks to run on each triple."""
 
-    a_range: tuple[int, int]
-    b_range: tuple[int, int]
-    n_range: tuple[int, int]
-    checks: tuple[str, ...] = CHECK_NAMES
-    skip_invalid: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, (lo, hi) in (("a", self.a_range), ("b", self.b_range), ("n", self.n_range)):
+    def __new__(cls, a_range, b_range, n_range, checks=CHECK_NAMES, skip_invalid=True):
+        for name, (lo, hi) in (("a", a_range), ("b", b_range), ("n", n_range)):
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}..{hi}")
-        if self.b_range[0] < 2:
-            raise ValueError(f"b range must start at 2 or above, got {self.b_range[0]}")
-        if self.n_range[0] < 2:
-            raise ValueError(f"n range must start at 2 or above, got {self.n_range[0]}")
-        unknown = [c for c in self.checks if c not in CHECK_NAMES]
+        if b_range[0] < 2:
+            raise ValueError(f"b range must start at 2 or above, got {b_range[0]}")
+        if n_range[0] < 2:
+            raise ValueError(f"n range must start at 2 or above, got {n_range[0]}")
+        unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
+        return super().__new__(cls, a_range, b_range, n_range, checks, skip_invalid)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates again
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Grid order: ascending b, then n, then a."""

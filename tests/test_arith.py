@@ -118,6 +118,12 @@ def test_params_are_immutable():
         p.a = 2
 
 
+def test_replace_validates_again():
+    assert validate(1, 2, 3)._replace(n=4) == validate(1, 2, 4)
+    with pytest.raises(NotCoprimeError):
+        validate(1, 2, 3)._replace(a=7)
+
+
 def test_relation_holds_everywhere(grid):
     for p in grid:
         for i in range(1, 7):

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "grepunit" in proc.stdout
+
+
+def test_startup_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
+    # the CLI's set-up.  -S keeps site hooks from loading them first.
+    script = (
+        "import sys, grepunit.cli; grepunit.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_reports_branch_example(capsys):

@@ -1,7 +1,6 @@
 """Brute-force engine against textbook semigroups and pairwise identities."""
 
 import ast
-import dataclasses
 import math
 import os
 import subprocess
@@ -32,6 +31,20 @@ def test_rejects_non_semigroup_generators():
         sg(0, 3)
     with pytest.raises(NotNumericalSemigroupError):
         sg(-2, 3)
+
+
+def test_replace_validates_again():
+    with pytest.raises(NotNumericalSemigroupError):
+        oracle.GenericSemigroup((3, 5))._replace(gens=(4, 6))
+
+
+def test_repr_leaves_out_the_masks():
+    # masks of about 10**6 bits, past the 4300-digit limit of int -> str
+    inv = oracle.basic_invariants(oracle.GenericSemigroup((1000, 1001)))
+    assert inv.sieve.mask.bit_length() > 10**6
+    assert repr(inv.sieve) == f"MembershipSieve(bound={inv.sieve.bound})"
+    assert repr(inv).startswith("SemigroupInvariants(semigroup=GenericSemigroup(gens=(1000, 1001)), apery=[0, ")
+    assert "apery_mask" not in repr(inv)
 
 
 def test_sieve_membership():
@@ -99,8 +112,7 @@ def test_route_disagreement_raises(monkeypatch):
 
 def test_unreached_residue_class_raises():
     # gcd 2, past the constructor's check: the odd classes mod 4 hold no member
-    even = object.__new__(oracle.GenericSemigroup)
-    object.__setattr__(even, "gens", (4, 6))
+    even = tuple.__new__(oracle.GenericSemigroup, ((4, 6),))
     with pytest.raises(RouteDisagreementError, match="2 residue classes mod 4 never reached"):
         oracle.apery_set(even, 4)
 
@@ -200,7 +212,7 @@ def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(mon
 
 def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
     inv = oracle.basic_invariants(sg(7, 8, 10))
-    cleared = dataclasses.replace(inv, apery_mask=inv.apery_mask ^ 1 << max(inv.apery))
+    cleared = inv._replace(apery_mask=inv.apery_mask ^ 1 << max(inv.apery))
     with pytest.raises(RouteDisagreementError, match="pseudo-Frobenius routes disagree"):
         oracle.pseudo_frobenius(cleared)
 
@@ -230,7 +242,7 @@ def test_length_set_values():
 def test_apery_lengths_refuse_an_element_no_generator_reaches():
     # 43 is not in <6, 9, 20>: neither 43 - 9 nor 43 - 20 is in the mask
     inv = oracle.basic_invariants(sg(6, 9, 20))
-    planted = dataclasses.replace(inv, apery_mask=sum(1 << w for w in (0, 43, 20, 9, 40, 29)))
+    planted = inv._replace(apery_mask=sum(1 << w for w in (0, 43, 20, 9, 40, 29)))
     with pytest.raises(RouteDisagreementError, match="43"):
         oracle.apery_lengths(planted)
 
@@ -251,13 +263,13 @@ def test_wilf_data_bounds_can_fail():
     # type bound fails (43 <= 3*20 - 1, 43 > 2*20 - 1), at 10 both do
     inv = oracle.basic_invariants(sg(6, 9, 20))
     pfs = oracle.pseudo_frobenius(inv)
-    data = oracle.wilf_data(dataclasses.replace(inv, n_below=20), pfs)
+    data = oracle.wilf_data(inv._replace(n_below=20), pfs)
     assert (data.wilf_ok, data.type_bound_ok) == (True, False)
-    data = oracle.wilf_data(dataclasses.replace(inv, n_below=10), pfs)
+    data = oracle.wilf_data(inv._replace(n_below=10), pfs)
     assert (data.wilf_ok, data.type_bound_ok) == (False, False)
     # 15 = 7 + 8 is redundant, so e = 3 and 19 > 3*6 - 1 (with e = 4, 19 <= 4*6 - 1)
     inv = oracle.basic_invariants(sg(7, 8, 10, 15))
-    data = oracle.wilf_data(dataclasses.replace(inv, n_below=6), oracle.pseudo_frobenius(inv))
+    data = oracle.wilf_data(inv._replace(n_below=6), oracle.pseudo_frobenius(inv))
     assert data.embedding_dimension == 3
     assert not data.wilf_ok
 

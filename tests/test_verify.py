@@ -1,7 +1,6 @@
 """Comparison engine: statuses, sweeps and the oracle-built report."""
 
 import ast
-import dataclasses
 import functools
 import gc
 import json
@@ -115,7 +114,7 @@ def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
 def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     # an oracle that forgets the generator 43 finds no factorization of it
     real = oracle.apery_lengths
-    forgetful = lambda inv: real(dataclasses.replace(inv, semigroup=oracle.GenericSemigroup((40, 52, 79))))
+    forgetful = lambda inv: real(inv._replace(semigroup=oracle.GenericSemigroup((40, 52, 79))))
     monkeypatch.setattr(oracle, "apery_lengths", forgetful)
     row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert row.status == STATUS_MISMATCH
@@ -210,6 +209,34 @@ def test_oracle_report_agrees_with_closed_report():
         assert brute.wilf_ok == closed.wilf_ok
 
 
+def test_oracle_report_builds_the_minimal_generators_once(monkeypatch):
+    calls = []
+    real = oracle.minimal_generators
+    monkeypatch.setattr(oracle, "minimal_generators", lambda sg: calls.append(sg) or real(sg))
+    report = oracle_report(validate(3, 3, 4))
+    assert report.generators == (40, 43, 52, 79)
+    assert calls == [oracle.GenericSemigroup((40, 43, 52, 79))]
+
+
+def test_records_refuse_attribute_assignment():
+    p = validate(3, 3, 4)
+    bundle = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)
+    inv = bundle.invariants
+    records = (
+        p, inv.semigroup, inv.sieve, inv, bundle.wilf,
+        closed_form.lattice_matrix(p), invariant_report(p),
+        Caps(), run_checks(p, ("frobenius",))[0], bundle,
+        SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2)),
+    )
+    assert len({type(r) for r in records}) == 11
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
 def test_sweep_smallest_grid():
     spec = SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2))
     rows, summary = sweep(spec)
@@ -254,6 +281,9 @@ def test_sweep_spec_validation():
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(1, 2))
     with pytest.raises(ValueError):
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2), checks=("nope",))
+    spec = SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2))
+    with pytest.raises(ValueError):
+        spec._replace(b_range=(1, 2))
 
 
 def test_outcome_shape():
@@ -339,7 +369,7 @@ def test_wilf_row_reads_the_closed_report(monkeypatch):
     # both bounds hold on every valid triple, so only a planted closed-side
     # failure shows that the row compares the two sides
     real = closed_form.invariant_report
-    monkeypatch.setattr(closed_form, "invariant_report", lambda p: dataclasses.replace(real(p), wilf_ok=False))
+    monkeypatch.setattr(closed_form, "invariant_report", lambda p: real(p)._replace(wilf_ok=False))
     assert run_checks(validate(3, 3, 4), ("wilf",))[0].status == STATUS_MISMATCH
 
 
