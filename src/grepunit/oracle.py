@@ -5,13 +5,14 @@ membership by a shift-or closure over the generators (also handed out
 as one byte per integer), Frobenius number, genus and n(S) by bit length
 and popcount of that mask, Apéry sets as residue-indexed tables (entry r
 is the element congruent to r) by Böcker-Lipták round-robin over
-residue classes, pseudo-Frobenius numbers by the generator test on the
-Apéry set cross-checked against the raw definition on the membership
-mask, and the factorization lengths of the Apéry elements by whole-mask
+residue classes, or, for the multiplicity m from APERY_WINDOW_MIN on,
+one m-bit window of values at a time, with the genus by Selmer's
+formula, pseudo-Frobenius numbers by the generator test on the Apéry
+set cross-checked against the raw definition on the membership mask,
+and the factorization lengths of the Apéry elements by whole-mask
 length levels, each level the one below shifted by the generators and
-kept within the Apéry mask.  Nothing in this module
-consults the closed formulas it is used to check, nor the Apéry sets
-they build.
+kept within the Apéry mask.  Nothing in this module consults the
+closed formulas it is used to check, nor the Apéry sets they build.
 """
 
 from __future__ import annotations
@@ -188,11 +189,78 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
     return best
 
 
+# Multiplicity from which basic_invariants builds Ap(S, m) in m-bit
+# windows rather than by round-robin: the crossover, measured with
+# basic_invariants on the family's generators for a = 1..60 (Python
+# 3.11).  The round-robin is 1.7-2x faster at m = 121 and 156 and 1.3x
+# at m = 259 (b = 6, n = 4); the windows are 1.1x faster at m = 255
+# (b = 2, n = 8), tie at m = 341, and are 1.1-1.4x faster at m = 364
+# and 400, 1.9-2.3x at m = 511 and 781, 5-7x at m >= 11111.
+APERY_WINDOW_MIN = 300
+
+
+def apery_windows(sg: GenericSemigroup, top_cap: int) -> list[tuple[int, int]] | None:
+    """Ap(S, m), m the multiplicity, in windows of m bits: a pair (j, w)
+    for each window visited, ascending in j, where bit r of w is set iff
+    jm + r is an Apéry element; or None once some Apéry element is sure
+    to exceed top_cap, which keeps the windows within about top_cap bits.
+
+    A nonzero Apéry element is w' + g for a generator g not divisible by m
+    and, since w' = w - g is a member and w - m is not, w' in Ap.  Each
+    such g exceeds m, so the candidates of window j are the elements of
+    the two windows j - g//m and j - g//m - 1, shifted by g mod m, and a
+    candidate whose class no earlier window covers is the least member of
+    its class.  Only windows that a step reaches from a non-empty window
+    are visited, at most 2(e - 1)m + 1 of them for e generators.
+    """
+    m = sg.multiplicity
+    full = (1 << m) - 1
+    # a step reads window j - q and the top bits of window j - q - 1
+    steps = sorted({(g // m, m - g % m) for g in sg.gens if g % m})  # (q, right shift)
+    reach = {d for q, _ in steps for d in (q, q + 1)}
+    pairs = {0: 1 << m, 1: 1}  # pairs[j]: window j above window j - 1, so one shift reads both
+    visited = [(0, 1)]  # window 0 holds only 0: every other generator exceeds m
+    covered = 1
+    pending = set(reach)  # the windows above j that some step reaches
+    while covered != full:
+        if not pending:  # with gcd 1 every class holds a member
+            raise RouteDisagreementError(
+                f"{m - covered.bit_count()} residue classes mod {m} never reached"
+            )
+        j = min(pending)
+        pending.remove(j)
+        if j * m > top_cap:  # some class's element lies at or beyond window j
+            return None
+        cand = 0
+        for q, r in steps:
+            cand |= pairs.get(j - q, 0) >> r
+        new = cand & full
+        new ^= new & covered
+        visited.append((j, new))
+        if new:
+            covered |= new
+            pairs[j] = new << m | pairs.get(j, 0)
+            pairs[j + 1] = new
+            pending.update([j + d for d in reach])
+    return visited
+
+
+def _join(windows: list[tuple[int, int]], width: int) -> int:
+    """One mask from (j, w) window pairs, ascending in j: bit j*width + r
+    is set iff bit r of window j is.  Neighbours are joined pairwise, so
+    each bit moves about log2(len(windows)) times."""
+    pieces = [(j * width, w) for j, w in windows]
+    while len(pieces) > 1:
+        joined = [(lo, w | v << (hi - lo)) for (lo, w), (hi, v) in zip(pieces[::2], pieces[1::2])]
+        pieces = joined + pieces[len(joined) * 2 :]
+    start, w = pieces[0]
+    return w << start
+
+
 class SemigroupInvariants(NamedTuple):
     """Frobenius number, genus and friends, each computed two ways."""
 
     semigroup: GenericSemigroup
-    apery: list[int]  # Ap(S, m) by residue: apery[r] is the element congruent to r mod m
     apery_mask: int  # bit w set iff w is in Ap(S, m)
     sieve: MembershipSieve
     frobenius: int
@@ -217,26 +285,37 @@ def check_multiplicity(m: int, sieve_cap: int = DEFAULT_SIEVE_CAP) -> None:
 def basic_invariants(
     sg: GenericSemigroup, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> SemigroupInvariants:
-    """Compute F, g and n(S) twice - from the Apéry set of the
-    multiplicity and from a raw gap sieve - and insist the routes agree.
+    """Compute F and g twice - from the Apéry set of the multiplicity m
+    and from a raw gap sieve - and insist the routes agree, as they must
+    on the Apéry set itself.
 
-    The sieve bound max(Apéry) + max generator covers every gap and every
-    Apéry element, so both computations are complete.  A multiplicity
-    whose sieve cannot fit (`check_multiplicity`) is refused before the
-    Apéry set is built.
+    Ap(S, m) comes from `apery_windows` when m >= APERY_WINDOW_MIN, with
+    g = sum of floor(w/m) over its elements (Selmer, J. reine angew.
+    Math. 293/294, 1977), and from `apery_set` below that, with g from
+    the Apéry sum.  The sieve bound max(Apéry) + max generator covers
+    every gap and every Apéry element, so both computations are complete.
+    A multiplicity whose sieve cannot fit (`check_multiplicity`) is
+    refused before the Apéry set is built, and the windows give way to
+    the round-robin's O(m) memory once the sieve is sure to be refused.
     """
     m = sg.multiplicity
     check_multiplicity(m, sieve_cap)
-    ap = apery_set(sg, m)
-    top = max(ap)
+    # the sieve admits bounds up to sieve_cap - 1
+    windows = apery_windows(sg, sieve_cap - 1 - max(sg.gens)) if m >= APERY_WINDOW_MIN else None
+    if windows:
+        j, last = windows[-1]
+        top = j * m + last.bit_length() - 1
+        g_apery = sum(j * w.bit_count() for j, w in windows)
+    else:  # also when the windows gave up: the sieve is then refused at its exact bound
+        ap = apery_set(sg, m)
+        top = max(ap)
+        num = 2 * sum(ap) - m * (m - 1)
+        if num % (2 * m) != 0:
+            raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
+        g_apery = num // (2 * m)
     bound = top + max(sg.gens)
     sv = sieve(sg, bound, cap=sieve_cap)
-
     f_apery = top - m
-    num = 2 * sum(ap) - m * (m - 1)
-    if num % (2 * m) != 0:
-        raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
-    g_apery = num // (2 * m)
 
     s = sv.mask
     gap_mask = ((1 << (bound + 1)) - 1) ^ s  # the sieve mask lies within bits 0..bound
@@ -251,12 +330,12 @@ def basic_invariants(
     # predecessor in their class is a gap.  (Here and in pseudo_frobenius
     # x & ~y is written x ^ (x & y): ~ of a big int costs two's-complement
     # passes.)
-    ap_mask = _mask_of(ap, top)
+    ap_mask = _join(windows, m) if windows else _mask_of(ap, top)
     if ap_mask != s ^ (s & (s << m)):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
     n_below = (s & ((1 << max(f_sieve, 0)) - 1)).bit_count()
-    return SemigroupInvariants(sg, ap, ap_mask, sv, f_sieve, g_sieve, n_below)
+    return SemigroupInvariants(sg, ap_mask, sv, f_sieve, g_sieve, n_below)
 
 
 def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
@@ -300,9 +379,8 @@ def minimal_generators(sg: GenericSemigroup) -> list[int]:
 
 def apery_lengths(inv: SemigroupInvariants) -> list[int]:
     """Factorization-length masks of the Apéry elements of the
-    multiplicity m, indexed by residue as `inv.apery` holds the
-    elements: bit k of masks[r] is set iff the element congruent to r is
-    a sum of exactly k generators.
+    multiplicity m, indexed by residue: bit k of masks[r] is set iff the
+    element congruent to r is a sum of exactly k generators.
 
     No factorization of w in Ap(S, m) uses m, and for a generator g,
     w - g in S forces w - g in Ap(S, m) (else w - m would be a member).

@@ -102,7 +102,7 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
         genus=inv.genus,
         pseudo_frobenius=pf,
         type=len(pf),
-        apery_sum=sum(inv.apery),
+        apery_sum=sum(oracle._set_bits(inv.apery_mask)),
         n_of_s=inv.n_below,
         wilf_ok=bundle.wilf.wilf_ok,
         source="oracle",
@@ -164,11 +164,14 @@ def _genus(params, shared):
 
 def _apery(params, shared):
     closed_values = sorted(shared.apery()[0])
-    oracle_values = sorted(shared.bundle().invariants.apery)
-    same = closed_values == oracle_values
-    matched = same and closed_form.apery_sum(params) == sum(oracle_values)
+    apery_mask = shared.bundle().invariants.apery_mask
+    same = (
+        len(closed_values) == params.multiplicity
+        and oracle._mask_of(closed_values, closed_values[-1]) == apery_mask
+    )
+    matched = same and closed_form.apery_sum(params) == sum(closed_values)
     digest = _digest(closed_values)
-    return digest, digest if same else _digest(oracle_values), matched
+    return digest, digest if same else _digest(oracle._set_bits(apery_mask)), matched
 
 
 def _pf(params, shared):
@@ -180,14 +183,16 @@ def _type(params, shared):
 
 
 def _homogeneous(params, shared):
-    closed = zip(*shared.apery())  # (value, length) per coefficient tuple
+    values, lengths = shared.apery()  # one (value, length) per coefficient tuple
     inv = shared.bundle().invariants
     # the masks are built here, not in the bundle: no other check reads them
     masks = oracle.apery_lengths(inv)
     m = inv.semigroup.multiplicity
-    # each closed element must be the oracle's element of its class, with
-    # the single length its coefficient tuple predicts
-    result = all(inv.apery[w % m] == w and masks[w % m] == 1 << k for w, k in closed)
+    # the closed elements must be the oracle's, each with the single
+    # length its coefficient tuple predicts
+    result = oracle._mask_of(values, max(values)) == inv.apery_mask and all(
+        masks[w % m] == 1 << k for w, k in zip(values, lengths)
+    )
     return True, result, result
 
 

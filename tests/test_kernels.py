@@ -1,7 +1,8 @@
 """The whole-mask kernels against the algorithms they replaced.
 
 The references below are the earlier kernels, kept here only to compare
-against: a byte-per-integer DP sieve, the relaxation Apéry set, the
+against: a byte-per-integer DP sieve, the relaxation Apéry set (which
+both the round-robin and the m-bit windows must reproduce), the
 O(m^2) scan for maximal Apéry elements, a memoised depth-first
 length-set search, the per-integer length-table DP over every integer
 up to the largest Apéry element, and the per-integer affine closure
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 
 from grepunit import closed_form, oracle
 from grepunit.arith import validate
-from grepunit.errors import InvalidParametersError
+from grepunit.errors import InvalidParametersError, RouteDisagreementError
 
 # The depth-first search grows fast with the Apéry elements; on the grid
 # it runs where the multiplicity is at most this (24 (b, n, a) families).
 DFS_MAX_MULTIPLICITY = 21
+
+# far above every Apéry element here, so the window route never gives up
+TOP_CAP = 10**8
 
 BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -123,6 +127,21 @@ def loop_affine_ok(params, bound: int, member) -> bool:
     return True
 
 
+def window_table(sg) -> list[int]:
+    """`oracle.apery_windows` read into a residue-indexed table, each class
+    found once, in windows visited in ascending order."""
+    m = sg.multiplicity
+    windows = oracle.apery_windows(sg, TOP_CAP)
+    assert [j for j, _ in windows] == sorted({j for j, _ in windows})
+    table = [None] * m
+    for j, w in windows:
+        assert 0 <= w < 1 << m
+        for r in oracle._set_bits(w):
+            assert table[r] is None, r
+            table[r] = j * m + r
+    return table
+
+
 def check_against_references(gens, dfs_limit: int) -> None:
     """Every oracle kernel against its reference; the Apéry elements up to
     dfs_limit also get their length masks checked by depth-first search."""
@@ -135,7 +154,8 @@ def check_against_references(gens, dfs_limit: int) -> None:
     assert inv.sieve.mask == int(members[::-1].translate(BINARY_DIGITS), 2)
 
     apery = relaxation_apery(sg.gens, m)
-    assert inv.apery == apery
+    assert inv.apery_mask == sum(1 << w for w in apery)
+    assert window_table(sg) == oracle.apery_set(sg, m) == apery
     assert oracle.pseudo_frobenius(inv) == maximals_scan(sorted(apery), members, m)
 
     for w, mask in zip(apery, oracle.apery_lengths(inv)):
@@ -144,9 +164,11 @@ def check_against_references(gens, dfs_limit: int) -> None:
 
 
 def check_lengths_against_the_dp(sg, inv) -> None:
-    """Masks and values paired by residue, as `inv.apery` is indexed."""
-    reference = dp_length_table(sg.gens, max(inv.apery))
-    assert oracle.apery_lengths(inv) == [reference[w] for w in inv.apery]
+    """Masks and values paired by residue, as `apery_lengths` indexes them."""
+    m = sg.multiplicity
+    apery = sorted(oracle._set_bits(inv.apery_mask), key=lambda w: w % m)
+    reference = dp_length_table(sg.gens, max(apery))
+    assert oracle.apery_lengths(inv) == [reference[w] for w in apery]
 
 
 def test_kernels_agree_on_the_acceptance_grid(grid):
@@ -266,3 +288,45 @@ def test_set_bits_agrees_with_the_digit_string(bits):
 @pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (7, 8, 10, 15), (5, 7, 9, 11, 13)])
 def test_kernels_agree_on_textbook_semigroups(gens):
     check_against_references(gens, math.inf)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        (1, 5),  # 5 is a multiple of m = 1
+        (3, 6, 7),  # 6 is a multiple of m and redundant
+        (5, 7, 10, 12, 14),  # 10 and 14 redundant, 10 a multiple of m
+        (300, 301, 600, 750, 857),  # m on the window side of APERY_WINDOW_MIN, 600 a multiple of it
+        (1000, 1001),  # one element in each of windows 0..999
+    ],
+)
+def test_window_route_on_edge_cases(gens):
+    """Generators that are multiples of m or redundant, pinned rather than
+    left to Hypothesis, and multiplicities on the window side of
+    APERY_WINDOW_MIN, too large for check_against_references' depth-first
+    search."""
+    sg = oracle.GenericSemigroup(gens)
+    assert window_table(sg) == oracle.apery_set(sg, gens[0]) == relaxation_apery(gens, gens[0])
+
+
+def test_window_route_on_a_gcd_two_input():
+    # past the constructor's check: the odd classes mod 4 hold no member
+    even = tuple.__new__(oracle.GenericSemigroup, ((4, 6),))
+    with pytest.raises(RouteDisagreementError, match="2 residue classes mod 4 never reached"):
+        oracle.apery_windows(even, TOP_CAP)
+
+
+@pytest.mark.parametrize(
+    "gens, visited",
+    [
+        ((3, 1000003), 4),  # windows 0, 333334, 333335, 666668: nothing in between
+        ((1001, 51001, 551001), 2626),
+        ((1, 7, 6), 1),  # m = 1: window 0 holds every class
+        (validate(1, 7, 6).generators(), 32),  # the family at (a, b, n) = (1, 7, 6), m = 19608
+    ],
+)
+def test_window_route_visits_at_most_2_e_minus_1_m_plus_1_windows(gens, visited):
+    sg = oracle.GenericSemigroup.from_values(gens)
+    windows = oracle.apery_windows(sg, TOP_CAP)
+    assert len(windows) == visited
+    assert len(windows) <= 2 * (len(sg.gens) - 1) * sg.multiplicity + 1

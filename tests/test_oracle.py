@@ -43,7 +43,9 @@ def test_repr_leaves_out_the_masks():
     inv = oracle.basic_invariants(oracle.GenericSemigroup((1000, 1001)))
     assert inv.sieve.mask.bit_length() > 10**6
     assert repr(inv.sieve) == f"MembershipSieve(bound={inv.sieve.bound})"
-    assert repr(inv).startswith("SemigroupInvariants(semigroup=GenericSemigroup(gens=(1000, 1001)), apery=[0, ")
+    assert repr(inv).startswith(
+        "SemigroupInvariants(semigroup=GenericSemigroup(gens=(1000, 1001)), sieve=MembershipSieve(bound="
+    )
     assert "apery_mask" not in repr(inv)
 
 
@@ -92,15 +94,37 @@ def test_apery_needs_member_modulus():
 
 
 def test_capacity_refused_before_the_apery_stage(monkeypatch):
-    def unreachable(sg, q):
+    def unreachable(*args):
         raise AssertionError("Apéry stage reached")
 
     monkeypatch.setattr(oracle, "apery_set", unreachable)
-    # the sieve bound is at least 2m - 1, so 2m cells over the cap is refused up front
-    with pytest.raises(CapacityError):
-        oracle.basic_invariants(sg(1000, 1001), sieve_cap=1999)
-    with pytest.raises(AssertionError, match="reached"):
-        oracle.basic_invariants(sg(1000, 1001), sieve_cap=2000)
+    monkeypatch.setattr(oracle, "apery_windows", unreachable)
+    # one m on each side of APERY_WINDOW_MIN: the refusal comes before either route
+    assert 100 < oracle.APERY_WINDOW_MIN <= 1000
+    for m in (100, 1000):
+        # the sieve bound is at least 2m - 1, so 2m cells over the cap is refused up front
+        with pytest.raises(CapacityError):
+            oracle.basic_invariants(sg(m, m + 1), sieve_cap=2 * m - 1)
+        with pytest.raises(AssertionError, match="reached"):
+            oracle.basic_invariants(sg(m, m + 1), sieve_cap=2 * m)
+
+
+def test_window_route_gives_up_past_its_top_cap():
+    # Ap(<1000, 1001>, 1000) tops out at 999 * 1001 = 999999, in window 999
+    windows = oracle.apery_windows(sg(1000, 1001), 999_999)
+    assert windows[-1] == (999, 1 << 999)
+    assert oracle.apery_windows(sg(1000, 1001), 998_999) is None
+
+
+def test_refusal_after_the_windows_give_up_names_the_exact_bound(monkeypatch):
+    # the windows stop near the cap; the round-robin then finds the
+    # bound 999999 + 1001 that the sieve refuses
+    moduli = []
+    real = oracle.apery_set
+    monkeypatch.setattr(oracle, "apery_set", lambda s, q: moduli.append(q) or real(s, q))
+    with pytest.raises(CapacityError, match="^sieve bound 1001000 exceeds capacity cap 500000$"):
+        oracle.basic_invariants(sg(1000, 1001), sieve_cap=500_000)
+    assert moduli == [1000]
 
 
 def test_route_disagreement_raises(monkeypatch):
@@ -136,6 +160,82 @@ def test_route_disagreement_survives_optimized_mode():
     assert proc.stdout.strip() == "False"  # assert statements are compiled away
     assert proc.returncode != 0
     assert "RouteDisagreementError" in proc.stderr
+
+
+def dropped(real):
+    """The window route without the element of window 1's lowest class."""
+
+    def planted(s, top_cap):
+        windows = real(s, top_cap)
+        j, w = windows[1]
+        windows[1] = j, w & (w - 1)
+        return windows
+
+    return planted
+
+
+def moved(real):
+    """The window route with window 1's lowest element moved up a window
+    and window 2's moved down one: the classes, the top and the Selmer sum
+    are kept, so only the comparison with the sieve is left to fail."""
+
+    def planted(s, top_cap):
+        windows = real(s, top_cap)
+        (j1, w1), (j2, w2) = windows[1:3]
+        assert j2 == j1 + 1
+        low1, low2 = w1 & -w1, w2 & -w2
+        assert low1 != low2 and j2 < windows[-1][0]
+        windows[1:3] = [(j1, w1 ^ low1 | low2), (j2, w2 ^ low2 | low1)]
+        return windows
+
+    return planted
+
+
+@pytest.mark.parametrize("fault, note", [(dropped, "routes disagree"), (moved, "disagrees with the sieve")])
+def test_window_route_disagreement_raises(monkeypatch, fault, note):
+    # m = 1000: window j of <1000, 1001> holds 1001 * j alone
+    assert 1000 >= oracle.APERY_WINDOW_MIN
+    monkeypatch.setattr(oracle, "apery_windows", fault(oracle.apery_windows))
+    with pytest.raises(RouteDisagreementError, match=note):
+        oracle.basic_invariants(sg(1000, 1001))
+
+
+def test_window_route_disagreement_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from grepunit import oracle
+
+        real = oracle.apery_windows
+        oracle.apery_windows = lambda s, c: [(j, w & (w - 1) if j == 1 else w) for j, w in real(s, c)]
+        print(__debug__)
+        oracle.basic_invariants(oracle.GenericSemigroup((1000, 1001)))
+        """
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False"  # assert statements are compiled away
+    assert proc.returncode != 0
+    assert "RouteDisagreementError" in proc.stderr
+
+
+def test_window_route_never_reads_the_sieve():
+    # the windows are one of the two routes basic_invariants compares, so
+    # they must not be built from the other one
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    route = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in ("apery_windows", "_join")]
+    assert len(route) == 2
+    for node in (n for fn in route for n in ast.walk(fn)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name not in ("sieve", "_closure", "MembershipSieve"), ast.unparse(node)
+
+
+@pytest.mark.parametrize("gens", [(7, 8, 10), (1000, 1001)])  # m on each side of APERY_WINDOW_MIN
+def test_invariants_are_hashable(gens):
+    inv = oracle.basic_invariants(sg(*gens))
+    assert hash(inv) == hash(oracle.basic_invariants(sg(*gens)))
 
 
 def test_oracle_stages_take_no_none_default():
@@ -212,7 +312,7 @@ def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(mon
 
 def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
     inv = oracle.basic_invariants(sg(7, 8, 10))
-    cleared = inv._replace(apery_mask=inv.apery_mask ^ 1 << max(inv.apery))
+    cleared = inv._replace(apery_mask=inv.apery_mask ^ 1 << inv.apery_mask.bit_length() - 1)
     with pytest.raises(RouteDisagreementError, match="pseudo-Frobenius routes disagree"):
         oracle.pseudo_frobenius(cleared)
 
@@ -226,7 +326,8 @@ def test_minimal_generators_drop_redundant():
 
 def apery_masks(s) -> dict[int, int]:
     inv = oracle.basic_invariants(s)
-    return dict(zip(inv.apery, oracle.apery_lengths(inv)))
+    by_residue = sorted(oracle._set_bits(inv.apery_mask), key=lambda w: w % s.multiplicity)
+    return dict(zip(by_residue, oracle.apery_lengths(inv)))
 
 
 def test_length_set_values():
