@@ -5,7 +5,10 @@ All emitters are deterministic: stable ordering, no timestamps, run
 metadata confined to a header object (JSON) or header line (text).
 The three JSON documents (report, verify/sweep rows, error) go through
 one writer, `to_json`: two-space indent, ASCII-only with `\\uXXXX`
-escapes, and ints beyond 2**53 written as decimal strings.
+escapes, and ints beyond 2**53 written as decimal strings.  Verify and
+sweep rows, all of one shape, are laid out by a fixed row template built
+from the `VerifyOutcome` fields; each value in it still comes from
+`to_json`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ EXIT_USAGE = 64
 FORMATS = ("json", "csv", "text")
 CSV_COLUMNS = ("a", "b", "n", "check", "closed", "oracle", "status")
 JSON_SAFE_MAX = 2**53
+# One row of the document's "rows" list as `to_json` lays it out, with a
+# %s slot for each field's value, in `VerifyOutcome` field order
+ROW_TEMPLATE = "{\n" + ",\n".join(f"      {_escape(k)}: %s" for k in VerifyOutcome._fields) + "\n    }"
+FIELD_INDENTS = ("      ",) * len(VerifyOutcome._fields)
+
 
 class Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 64."""
@@ -70,17 +78,25 @@ def to_json(value, indent: str = "") -> str:
         return f'"{value}"' if abs(value) > JSON_SAFE_MAX else str(value)
     if t is str:
         return _escape(value)
+    # in containers an int within 2**53 is written in place, without a call
     if t is dict:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [_escape(k) + ": " + to_json(v, inner) for k, v in value.items()]
+        items = [
+            _escape(k) + ": "
+            + (str(v) if type(v) is int and abs(v) <= JSON_SAFE_MAX else to_json(v, inner))
+            for k, v in value.items()
+        ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if t is list or t is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
-        items = [to_json(v, inner) for v in value]
+        items = [
+            str(v) if type(v) is int and abs(v) <= JSON_SAFE_MAX else to_json(v, inner)
+            for v in value
+        ]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if value is None:
         return "null"
@@ -188,14 +204,11 @@ def render_report(report: InvariantReport, fmt: str) -> str:
 def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) -> str:
     summary = summarize(rows)
     if fmt == "json":
-        doc = {
-            "kind": kind,
-            "version": __version__,
-            **header,
-            "rows": [r._asdict() for r in rows],  # a dict of the fields, in declaration order
-            "summary": summary,
-        }
-        return to_json(doc) + "\n"
+        # the header's object, left open: its closing "\n}" is cut off
+        head = to_json({"kind": kind, "version": __version__, **header})[:-2]
+        body = ",\n    ".join([ROW_TEMPLATE % tuple(map(to_json, r, FIELD_INDENTS)) for r in rows])
+        body = f"[\n    {body}\n  ]" if rows else "[]"
+        return f'{head},\n  "rows": {body},\n  "summary": {to_json(summary, "  ")}\n}}\n'
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -315,9 +315,15 @@ class InvariantReport(NamedTuple):
     source: str  # "closed-form" or "oracle"
 
 
+def wilf_ok(params: GrepunitParams) -> bool:
+    """Wilf's inequality F <= e*n(S) - 1, with e = n and n(S) = F + 1 - g."""
+    f = frobenius(params)
+    return f <= params.n * (f + 1 - genus(params)) - 1
+
+
 def invariant_report(params: GrepunitParams) -> InvariantReport:
     """Bundle every closed-form invariant; n(S) comes from the identity
-    g + n(S) = F + 1 and the Wilf flag from F <= e*n(S) - 1 with e = n."""
+    g + n(S) = F + 1 and the Wilf flag from `wilf_ok`."""
     f = frobenius(params)
     g = genus(params)
     pf = pseudo_frobenius(params)
@@ -331,6 +337,6 @@ def invariant_report(params: GrepunitParams) -> InvariantReport:
         type=len(pf),
         apery_sum=apery_sum(params),
         n_of_s=n_of_s,
-        wilf_ok=f <= params.n * n_of_s - 1,
+        wilf_ok=wilf_ok(params),
         source="closed-form",
     )

@@ -218,8 +218,10 @@ def apery_windows(sg: GenericSemigroup, top_cap: int) -> list[tuple[int, int]] |
     # a step reads window j - q and the top bits of window j - q - 1
     steps = sorted({(g // m, m - g % m) for g in sg.gens if g % m})  # (q, right shift)
     reach = {d for q, _ in steps for d in (q, q + 1)}
+    depth = max((q for q, _ in steps), default=0)  # window j reads no pair below j - depth
     pairs = {0: 1 << m, 1: 1}  # pairs[j]: window j above window j - 1, so one shift reads both
     visited = [(0, 1)]  # window 0 holds only 0: every other generator exceeds m
+    dropped = 0  # the windows visited[:dropped] have no pair left
     covered = 1
     pending = set(reach)  # the windows above j that some step reaches
     while covered != full:
@@ -237,6 +239,11 @@ def apery_windows(sg: GenericSemigroup, top_cap: int) -> list[tuple[int, int]] |
         new = cand & full
         new ^= new & covered
         visited.append((j, new))
+        while visited[dropped][0] < j - depth:  # later windows lie above j
+            k = visited[dropped][0]
+            pairs.pop(k, None)
+            pairs.pop(k + 1, None)
+            dropped += 1
         if new:
             covered |= new
             pairs[j] = new << m | pairs.get(j, 0)

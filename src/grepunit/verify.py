@@ -198,10 +198,10 @@ def _homogeneous(params, shared):
 
 def _wilf(params, shared):
     wilf = shared.bundle().wilf
-    report = closed_form.invariant_report(params)
+    ok = closed_form.wilf_ok(params)
     # for this family type + 1 = embedding dimension, so the
     # sharper bound coincides with Wilf's on the closed side
-    c = {"wilf": report.wilf_ok, "type_bound": report.wilf_ok}
+    c = {"wilf": ok, "type_bound": ok}
     o = {"wilf": wilf.wilf_ok, "type_bound": wilf.type_bound_ok}
     return _equal(c, o)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grepunit import cli
+from grepunit import __version__, cli
 from grepunit.cli import (
     EXIT_CAPACITY,
     EXIT_INVALID,
@@ -22,9 +22,11 @@ from grepunit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    render_rows,
     to_json,
 )
 from grepunit.errors import RouteDisagreementError
+from grepunit.verify import CHECK_NAMES, STATUS_ORDER, VerifyOutcome
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
@@ -164,6 +166,53 @@ json_values = st.recursive(
 @example(["Ap\u00e9ry", "\ud800", 2**53 + 1, -(2**53) - 1, 10**400])
 def test_to_json_matches_json_dumps_of_json_ready(value):
     assert to_json(value) == reference_json(value)
+
+
+# one value per VerifyOutcome field, in field order; a field added later
+# draws any JSON value, so the row writer must follow it
+ROW_FIELDS = {
+    "a": json_ints,
+    "b": st.integers(2, 10),
+    "n": st.integers(2, 10),
+    "check": st.sampled_from(CHECK_NAMES + ("validate",)),
+    "closed": json_values,
+    "oracle": json_values,
+    "status": st.sampled_from(STATUS_ORDER),
+    "note": json_text,
+}
+outcome_rows = st.lists(
+    st.tuples(*(ROW_FIELDS.get(f, json_values) for f in VerifyOutcome._fields)).map(
+        VerifyOutcome._make
+    ),
+    max_size=3,
+)
+row_headers = st.dictionaries(
+    json_text.filter(lambda k: k not in ("rows", "summary")), json_values, max_size=2
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["verify", "sweep"]), row_headers, outcome_rows)
+@example("sweep", {"spec": {"a_range": [1, 2], "checks": ["pf"]}}, [])
+@example("verify", {}, [])
+@example(
+    "verify",
+    {"params": {"a": 2**53 + 1, "b": 2, "n": 2}},
+    [
+        VerifyOutcome(2**53 + 1, 2, 2, "pf", [-(2**60), 2**53], {"x": [2**53 + 1]}, "mismatch"),
+        VerifyOutcome(-(2**53) - 1, 3, 4, "apery", {"max": 10**30, "n": [[], {}]}, None,
+                      "skipped-capacity", "Ap\u00e9ry"),
+    ],
+)
+def test_row_template_matches_the_generic_writer(kind, header, rows):
+    doc = {
+        "kind": kind,
+        "version": __version__,
+        **header,
+        "rows": [r._asdict() for r in rows],
+        "summary": {s: sum(r.status == s for r in rows) for s in STATUS_ORDER},
+    }
+    assert render_rows(kind, header, rows, "json") == reference_json(doc) + "\n"
 
 
 def test_cli_never_passes_an_indent():
@@ -361,8 +410,9 @@ def test_wide_length_slot_output_is_pinned(capsys):
 
 
 # sha256 and exit code of JSON documents that the sweep pins never reach:
-# ints beyond 2**53, the oracle report, the error document, null values
-# with notes, and every check (homogeneity included) at m = 111111
+# ints beyond 2**53 (in a report, and in a sweep's spec and rows), the
+# oracle report, the error document, null values with notes, and every
+# check (homogeneity included) at m = 111111
 DOCUMENT_PINS = {
     ("report", "-a", "1", "-b", "2", "-n", "60", "--format", "json"):
         ("c003dbf3d1b1f0621bbeb27aba9683e05ed80d0bbc20a0c547c97733848e29af", EXIT_OK),
@@ -375,6 +425,9 @@ DOCUMENT_PINS = {
         ("1ec1ab12d9c2e075ffe7596f25ab43cae295bcad72e34b8d1758fa16b517a1be", EXIT_CAPACITY),
     ("verify", "-a", "1", "-b", "10", "-n", "6", "--checks", "all", "--format", "json"):
         ("b78b0747205dbc26100d89c9d24d5361d08d0baebd24e04ae38959b67fcc0a44", EXIT_OK),
+    ("sweep", "--a", "9007199254740993..9007199254740994", "--b", "2..2", "--n", "2..2",
+     "--checks", "frobenius,pf", "--format", "json"):
+        ("ad49511f2009de83b90ce784618746b6ab4a5293bb26faa7574f4e4eb10b3320", EXIT_OK),
 }
 
 

@@ -314,6 +314,10 @@ def test_window_route_on_a_gcd_two_input():
     even = tuple.__new__(oracle.GenericSemigroup, ((4, 6),))
     with pytest.raises(RouteDisagreementError, match="2 residue classes mod 4 never reached"):
         oracle.apery_windows(even, TOP_CAP)
+    # every generator a multiple of m: no step at all
+    stepless = tuple.__new__(oracle.GenericSemigroup, ((2, 4),))
+    with pytest.raises(RouteDisagreementError, match="1 residue classes mod 2 never reached"):
+        oracle.apery_windows(stepless, TOP_CAP)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,21 @@ def test_window_route_gives_up_past_its_top_cap():
     windows = oracle.apery_windows(sg(1000, 1001), 999_999)
     assert windows[-1] == (999, 1 << 999)
     assert oracle.apery_windows(sg(1000, 1001), 998_999) is None
+
+
+def test_window_route_drops_the_pairs_no_later_step_reads():
+    # Ap(<2000, 2001>, 2000) has one element in each of windows 0..1999 and
+    # every step reads the window below; keeping each window's 4000-bit
+    # pair to the end would more than double the memory of the windows
+    tracemalloc.start()
+    try:
+        windows = oracle.apery_windows(sg(2000, 2001), 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sys.getsizeof(windows) + sum(sys.getsizeof(w) + sys.getsizeof((j, w)) for j, w in windows)
+    assert len(windows) == 2000
+    assert peak < 1.5 * kept
 
 
 def test_refusal_after_the_windows_give_up_names_the_exact_bound(monkeypatch):
