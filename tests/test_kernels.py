@@ -1,7 +1,8 @@
 """The whole-mask kernels against the algorithms they replaced.
 
 The references below are the earlier kernels, kept here only to compare
-against: a byte-per-integer DP sieve, the relaxation Apéry set (which
+against: a byte-per-integer DP sieve (which both the shift-or closure
+and the windowed sieve must reproduce), the relaxation Apéry set (which
 both the round-robin and the m-bit windows must reproduce), the
 O(m^2) scan for maximal Apéry elements, a memoised depth-first
 length-set search, the per-integer length-table DP over every integer
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from grepunit import closed_form, oracle
 from grepunit.arith import validate
-from grepunit.errors import InvalidParametersError, RouteDisagreementError
+from grepunit.errors import CapacityError, InvalidParametersError, RouteDisagreementError
 
 # The depth-first search grows fast with the Apéry elements; on the grid
 # it runs where the multiplicity is at most this (24 (b, n, a) families).
@@ -334,3 +335,88 @@ def test_window_route_visits_at_most_2_e_minus_1_m_plus_1_windows(gens, visited)
     windows = oracle.apery_windows(sg, TOP_CAP)
     assert len(windows) == visited
     assert len(windows) <= 2 * (len(sg.gens) - 1) * sg.multiplicity + 1
+
+
+def check_sieve_routes(gens, bound: int) -> None:
+    """The windowed sieve against the shift-or closure and the DP, and
+    `sieve` on the window side of SIEVE_WINDOW_MIN."""
+    expected = int(dp_members(gens, bound)[::-1].translate(BINARY_DIGITS), 2)
+    assert oracle._window_closure(gens, bound) == oracle._closure(gens, bound) == expected
+    if gens[0] >= oracle.SIEVE_WINDOW_MIN and math.gcd(*gens) == 1:
+        assert oracle.sieve(oracle.GenericSemigroup(tuple(gens)), bound).mask == expected
+
+
+@st.composite
+def wide_generating_sets(draw):
+    """A least value m from SIEVE_WINDOW_MIN to 3x that, up to four more
+    in m..3m, maybe a redundant sum of two of them or a multiple of m, and
+    a bound from the largest value to three windows past it."""
+    m = draw(st.integers(oracle.SIEVE_WINDOW_MIN, 3 * oracle.SIEVE_WINDOW_MIN))
+    values = [m] + draw(st.lists(st.integers(m, 3 * m), max_size=4))
+    extra = draw(st.sampled_from(["none", "sum", "multiple"]))
+    if extra == "sum":
+        values.append(draw(st.sampled_from(values)) + draw(st.sampled_from(values)))
+    elif extra == "multiple":
+        values.append(m * draw(st.integers(2, 3)))
+    gens = sorted(set(values))
+    return gens, draw(st.integers(gens[-1], gens[-1] + 3 * m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_generating_sets())
+def test_windowed_sieve_agrees_on_random_generating_sets(case):
+    check_sieve_routes(*case)
+
+
+M = oracle.SIEVE_WINDOW_MIN + 3  # windows of m rounded down to whole bytes, so narrower than m
+
+
+@pytest.mark.parametrize(
+    "gens, bound",
+    [
+        ((M, M + 1), 7 * M),  # bound % m == 0
+        ((M, M + 1), 8 * M - 1),  # bound % m == m - 1
+        ((M, M + 1), 7 * (M & ~7)),  # the top window holds bit 0 alone
+        ((M, M + 1), 8 * (M & ~7) - 1),  # the top window is whole
+        ((M, 2 * M, 2 * M + 5), 9 * M),  # 2m a multiple of m
+        ((M, M + 4, 2 * M + 4, 2 * M + 9), 6 * M + 2),  # 2m + 4 = m + (m + 4) is redundant
+        ((M, 3 * M - 1), 12 * M),  # a generator three windows up: pairs kept three deep
+    ],
+)
+def test_windowed_sieve_on_edge_cases(gens, bound):
+    check_sieve_routes(gens, bound)
+
+
+def test_windowed_sieve_on_the_family():
+    # (a, b, n) = (1, 7, 6): m = 19608, the sieve bound basic_invariants uses
+    gens = validate(1, 7, 6).generators()
+    bound = oracle.basic_invariants(oracle.GenericSemigroup(tuple(gens))).sieve.bound
+    check_sieve_routes(gens, bound)
+
+
+def test_sieve_takes_the_windows_from_sieve_window_min(monkeypatch):
+    built = []
+
+    def recording(name):
+        real = getattr(oracle, name)
+        return lambda gens, bound: built.append(name) or real(gens, bound)
+
+    for name in ("_closure", "_window_closure"):
+        monkeypatch.setattr(oracle, name, recording(name))
+    m = oracle.SIEVE_WINDOW_MIN
+    oracle.sieve(oracle.GenericSemigroup((m - 1, m)), 3 * m)
+    oracle.sieve(oracle.GenericSemigroup((m, m + 1)), 3 * m)
+    assert built == ["_closure", "_window_closure"]
+
+
+def test_sieve_refuses_its_cap_before_the_windows(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sieve built")
+
+    monkeypatch.setattr(oracle, "_closure", unreachable)
+    monkeypatch.setattr(oracle, "_window_closure", unreachable)
+    m = oracle.SIEVE_WINDOW_MIN
+    with pytest.raises(CapacityError, match=f"^sieve bound {3 * m} exceeds capacity cap {3 * m}$"):
+        oracle.sieve(oracle.GenericSemigroup((m, m + 1)), 3 * m, cap=3 * m)
+    with pytest.raises(AssertionError, match="built"):
+        oracle.sieve(oracle.GenericSemigroup((m, m + 1)), 3 * m, cap=3 * m + 1)

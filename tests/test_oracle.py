@@ -245,7 +245,89 @@ def test_window_route_never_reads_the_sieve():
     assert len(route) == 2
     for node in (n for fn in route for n in ast.walk(fn)):
         name = getattr(node, "id", None) or getattr(node, "attr", None)
-        assert name not in ("sieve", "_closure", "MembershipSieve"), ast.unparse(node)
+        assert name not in ("sieve", "_closure", "_window_closure", "MembershipSieve"), ast.unparse(node)
+
+
+def test_windowed_sieve_never_reads_the_apery_route():
+    # the mirror of the test above: the two routes step through windows
+    # alike, but share no stepping helper
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    route = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_window_closure"]
+    assert len(route) == 1
+    for node in ast.walk(route[0]):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name not in ("apery_windows", "_join", "apery_set"), ast.unparse(node)
+
+
+def cleared_in_a_middle_window(real):
+    """The windowed sieve with the least member of its middle window, at
+    about half the bound, turned into a gap."""
+
+    def planted(gens, bound):
+        mask = real(gens, bound)
+        start = bound // 2
+        above = mask >> start
+        return mask ^ (above & -above) << start
+
+    return planted
+
+
+# the family at (a, b, n) = (1, 7, 6): m = 19608, sieve bound 649860
+FAMILY = (19608, 19609, 19616, 19665, 20008, 22409)
+
+
+def test_windowed_sieve_fault_raises(monkeypatch):
+    assert FAMILY[0] >= oracle.SIEVE_WINDOW_MIN
+    monkeypatch.setattr(oracle, "_window_closure", cleared_in_a_middle_window(oracle._window_closure))
+    with pytest.raises(RouteDisagreementError, match="genus routes disagree"):
+        oracle.basic_invariants(sg(*FAMILY))
+
+
+def test_windowed_sieve_fault_survives_optimized_mode():
+    script = textwrap.dedent(
+        f"""
+        from grepunit import oracle
+
+        real = oracle._window_closure
+        def planted(gens, bound):
+            mask = real(gens, bound)
+            above = mask >> bound // 2
+            return mask ^ (above & -above) << bound // 2
+        oracle._window_closure = planted
+        print(__debug__)
+        oracle.basic_invariants(oracle.GenericSemigroup({FAMILY}))
+        """
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False"  # assert statements are compiled away
+    assert proc.returncode != 0
+    assert "RouteDisagreementError" in proc.stderr
+
+
+def traced_peak(build, *args) -> int:
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_windowed_sieve_peaks_below_the_closure():
+    # the family at (1, 10, 6): m = 111111 and a mask of about 0.7 MB.
+    # The windows are held as bytes and read back once, about twice the
+    # mask, against about five masks for the closure.  Keeping every
+    # window's pair, or ANDing the joined mask with a full-width one,
+    # each takes the windows to about four masks, and both past the closure
+    gens = (111111, 111112, 111122, 111222, 112222, 122222)
+    bound = oracle.basic_invariants(sg(*gens)).sieve.bound
+    peak = traced_peak(oracle._window_closure, gens, bound)
+    assert peak < traced_peak(oracle._closure, gens, bound)
+    assert peak < 3 * sys.getsizeof(oracle._window_closure(gens, bound))
 
 
 @pytest.mark.parametrize("gens", [(7, 8, 10), (1000, 1001)])  # m on each side of APERY_WINDOW_MIN
