@@ -23,7 +23,7 @@ from typing import Optional
 from . import __version__
 from .arith import validate
 from .closed_form import InvariantReport, invariant_report
-from .errors import CapacityError, InvalidParametersError
+from .errors import CapacityError, InvalidParametersError, RouteDisagreementError
 from .verify import (
     CHECK_NAMES,
     STATUS_MATCH,
@@ -155,11 +155,10 @@ def summary_line(summary: dict) -> str:
 
 
 def report_doc(report: InvariantReport) -> dict:
-    p = report.params
     return {
         "kind": "report",
         "version": __version__,
-        "params": {"a": p.a, "b": p.b, "n": p.n},
+        "params": report.params._asdict(),
         "source": report.source,
         "generators": list(report.generators),
         "frobenius": report.frobenius,
@@ -271,8 +270,7 @@ def cmd_report(args) -> int:
 def cmd_verify(args) -> int:
     params = validate(args.a, args.b, args.n)
     rows = run_checks(params, args.checks, make_caps(args))
-    header = {"params": {"a": params.a, "b": params.b, "n": params.n}}
-    emit(render_rows("verify", header, rows, args.format), args.out)
+    emit(render_rows("verify", {"params": params._asdict()}, rows, args.format), args.out)
     statuses = {r.status for r in rows}
     if STATUS_MISMATCH in statuses:
         return EXIT_MISMATCH
@@ -293,16 +291,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     rows, summary = sweep(spec, make_caps(args))
-    header = {
-        "spec": {
-            "a_range": list(spec.a_range),
-            "b_range": list(spec.b_range),
-            "n_range": list(spec.n_range),
-            "checks": list(spec.checks),
-            "skip_invalid": spec.skip_invalid,
-        }
-    }
-    emit(render_rows("sweep", header, rows, args.format), args.out)
+    emit(render_rows("sweep", {"spec": spec._asdict()}, rows, args.format), args.out)
     if args.out or args.format == "csv":
         stream = sys.stdout if args.out else sys.stderr
         print(summary_line(summary), file=stream)
@@ -370,6 +359,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         render_failure(args, "capacity", exc)
         return EXIT_CAPACITY
+    except RouteDisagreementError as exc:
+        render_failure(args, "route-disagreement", exc)
+        return EXIT_MISMATCH
     except OSError as exc:
         render_failure(args, "io", exc)
         return EXIT_IO

@@ -21,7 +21,7 @@ Apéry set's.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
@@ -439,10 +439,11 @@ def minimal_generators(sg: GenericSemigroup) -> list[int]:
     return [v for idx, v in enumerate(gens) if not _closure(gens[:idx], v) >> v & 1]
 
 
-def apery_lengths(inv: SemigroupInvariants) -> list[int]:
-    """Factorization-length masks of the Apéry elements of the
-    multiplicity m, indexed by residue: bit k of masks[r] is set iff the
-    element congruent to r is a sum of exactly k generators.
+def apery_levels(inv: SemigroupInvariants) -> Iterator[int]:
+    """Factorization-length levels of the Apéry elements of the
+    multiplicity m, one at a time from k = 0: level k is the mask of the
+    elements that are sums of exactly k generators.  Once the levels run
+    out, an Apéry element that none of them reached raises.
 
     No factorization of w in Ap(S, m) uses m, and for a generator g,
     w - g in S forces w - g in Ap(S, m) (else w - m would be a member).
@@ -450,24 +451,20 @@ def apery_lengths(inv: SemigroupInvariants) -> list[int]:
     generator g != m, kept within the Apéry mask: one pass of whole-mask
     shifts per length, from the level {0}.
     """
-    sg, apery_mask = inv.semigroup, inv.apery_mask
-    m = sg.multiplicity
-    masks = [0] * m
-    others = sg.gens[1:]
-    level, bit, reached = 1, 1, 0  # level k and bit k, from k = 0
+    apery_mask = inv.apery_mask
+    others = inv.semigroup.gens[1:]
+    level, reached = 1, 0
     while level:
+        yield level
         reached |= level
-        for w in _set_bits(level):
-            masks[w % m] |= bit
         shifted = 0
         for g in others:
             shifted |= level << g
-        level, bit = shifted & apery_mask, bit << 1
+        level = shifted & apery_mask
     missed = apery_mask ^ reached
     if missed:
         least = (missed & -missed).bit_length() - 1
         raise RouteDisagreementError(f"Apéry element {least} is no sum of the generators")
-    return masks
 
 
 class WilfData(NamedTuple):

@@ -13,6 +13,7 @@ output is deterministic.
 from __future__ import annotations
 
 import hashlib
+from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
 from . import closed_form, oracle
@@ -181,15 +182,18 @@ def _type(params, shared):
 
 def _homogeneous(params, shared):
     values, lengths = shared.apery()  # one (value, length) per coefficient tuple
-    inv = shared.bundle().invariants
-    # the masks are built here, not in the bundle: no other check reads them
-    masks = oracle.apery_lengths(inv)
-    m = inv.semigroup.multiplicity
-    # the closed elements must be the oracle's, each with the single
-    # length its coefficient tuple predicts
-    result = oracle._mask_of(values, max(values)) == inv.apery_mask and all(
-        masks[w % m] == 1 << k for w, k in zip(values, lengths)
-    )
+    groups = [[] for _ in range(max(lengths) + 1)]
+    for w, k in zip(values, lengths):
+        groups[k].append(w)
+    # The m closed values lie in distinct classes and each level lies in
+    # Ap(S, m), so levels equal to the groups make the closed set Ap(S, m)
+    # with one length per element.  A list, not all(): every level is read,
+    # so the oracle's reachability error reaches the row.
+    levels = oracle.apery_levels(shared.bundle().invariants)
+    result = all([
+        level == oracle._mask_of(group, max(group, default=0))
+        for level, group in zip_longest(levels, groups, fillvalue=[])
+    ])
     return True, result, result
 
 

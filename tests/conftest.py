@@ -1,5 +1,6 @@
 import pytest
 
+from grepunit import oracle
 from grepunit.arith import GrepunitParams, validate
 from grepunit.errors import InvalidParametersError
 
@@ -26,3 +27,15 @@ def grid() -> list[GrepunitParams]:
         except InvalidParametersError:
             continue
     return points
+
+
+def length_masks(inv) -> list[int]:
+    """`oracle.apery_levels` as length masks indexed by residue: bit k of
+    entry r is set iff the Apéry element congruent to r mod m is a sum of
+    exactly k generators."""
+    m = inv.semigroup.multiplicity
+    masks = [0] * m
+    for k, level in enumerate(oracle.apery_levels(inv)):
+        for w in oracle._set_bits(level):
+            masks[w % m] |= 1 << k
+    return masks

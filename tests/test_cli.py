@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grepunit import __version__, cli
+from grepunit import __version__, cli, oracle
 from grepunit.cli import (
     EXIT_CAPACITY,
     EXIT_INVALID,
@@ -374,6 +374,34 @@ def test_route_disagreement_reported_as_mismatch(capsys, monkeypatch):
     for row in doc["rows"]:
         assert (row["closed"], row["oracle"], row["status"]) == (None, None, "mismatch")
         assert row["note"] == "pseudo-Frobenius routes disagree: planted"
+
+
+def drop_residue_class_one(monkeypatch):
+    # an oracle Apéry set that loses the element of class 1
+    real = oracle.apery_set
+    monkeypatch.setattr(oracle, "apery_set", lambda sg, q: [v for v in real(sg, q) if v % q != 1])
+
+
+def test_report_route_disagreement_json_is_structured(capsys, monkeypatch):
+    drop_residue_class_one(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "report", "-a", "1", "-b", "3", "-n", "3", "--source", "oracle", "--format", "json"
+    )
+    assert code == EXIT_MISMATCH
+    assert err == ""
+    assert out == to_json({
+        "kind": "error",
+        "version": __version__,
+        "error": "route-disagreement",
+        "message": "Apéry sum inconsistent with an integer genus",
+    }) + "\n"
+
+
+def test_report_route_disagreement_text_goes_to_stderr(capsys, monkeypatch):
+    drop_residue_class_one(monkeypatch)
+    code, out, err = run_cli(capsys, "report", "-a", "1", "-b", "3", "-n", "3", "--source", "oracle")
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err == "error: Apéry sum inconsistent with an integer genus\n"
 
 
 # sha256 of the stdout of `sweep --a 1..12 --b 2..3 --n 2..4 --checks all`:

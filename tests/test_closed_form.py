@@ -258,15 +258,16 @@ def test_recursive_apery_respects_cap(monkeypatch):
 def test_homogeneous_golden(monkeypatch):
     assert run_checks(GOLDEN, ("homogeneous",))[0].status == "match"
 
-    # a second length planted on one element breaks homogeneity
-    real = oracle.apery_lengths
+    # a second length planted on one element breaks homogeneity: the
+    # least element of the top level k is put in a level k + 1 as well
+    real = oracle.apery_levels
 
     def planted(inv):
-        masks = real(inv)
-        masks[-1] |= masks[-1] << 1
-        return masks
+        levels = list(real(inv))
+        top = levels[-1]
+        return levels + [top & -top]
 
-    monkeypatch.setattr(oracle, "apery_lengths", planted)
+    monkeypatch.setattr(oracle, "apery_levels", planted)
     assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
 
 

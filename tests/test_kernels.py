@@ -22,6 +22,8 @@ from grepunit import closed_form, oracle
 from grepunit.arith import validate
 from grepunit.errors import CapacityError, InvalidParametersError, RouteDisagreementError
 
+from conftest import length_masks
+
 # The depth-first search grows fast with the Apéry elements; on the grid
 # it runs where the multiplicity is at most this (24 (b, n, a) families).
 DFS_MAX_MULTIPLICITY = 21
@@ -159,17 +161,17 @@ def check_against_references(gens, dfs_limit: int) -> None:
     assert window_table(sg) == oracle.apery_set(sg, m) == apery
     assert oracle.pseudo_frobenius(inv) == maximals_scan(sorted(apery), members, m)
 
-    for w, mask in zip(apery, oracle.apery_lengths(inv)):
+    for w, mask in zip(apery, length_masks(inv)):
         if w <= dfs_limit:
             assert bit_positions(mask) == dfs_length_set(sg.gens, w), w
 
 
 def check_lengths_against_the_dp(sg, inv) -> None:
-    """Masks and values paired by residue, as `apery_lengths` indexes them."""
+    """Masks and values paired by residue, as `length_masks` indexes them."""
     m = sg.multiplicity
     apery = sorted(oracle._set_bits(inv.apery_mask), key=lambda w: w % m)
     reference = dp_length_table(sg.gens, max(apery))
-    assert oracle.apery_lengths(inv) == [reference[w] for w in apery]
+    assert length_masks(inv) == [reference[w] for w in apery]
 
 
 def test_kernels_agree_on_the_acceptance_grid(grid):

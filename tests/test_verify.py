@@ -81,7 +81,7 @@ def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
     def refuse(inv):
         pytest.fail("the oracle pass ran before the cap was checked")
 
-    monkeypatch.setattr(oracle, "apery_lengths", refuse)
+    monkeypatch.setattr(oracle, "apery_levels", refuse)
     row = run_checks(validate(3, 3, 4), ("homogeneous",), Caps(apery=10))[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note == "40 coefficient tuples exceed cap 10"
@@ -113,13 +113,27 @@ def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
 
 def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     # an oracle that forgets the generator 43 finds no factorization of it
-    real = oracle.apery_lengths
+    real = oracle.apery_levels
     forgetful = lambda inv: real(inv._replace(semigroup=oracle.GenericSemigroup((40, 52, 79))))
-    monkeypatch.setattr(oracle, "apery_lengths", forgetful)
+    monkeypatch.setattr(oracle, "apery_levels", forgetful)
     row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert row.status == STATUS_MISMATCH
     assert (row.closed, row.oracle) == (None, None)
     assert row.note == "Apéry element 43 is no sum of the generators"
+
+
+def test_closed_length_past_the_top_level_is_a_mismatch_row(monkeypatch):
+    # one element's length raised past the top level leaves a closed
+    # group that no oracle level answers
+    real = closed_form.apery_set
+
+    def raised(params, cap):
+        values, lengths = real(params, cap)
+        return values, (*lengths[:-1], max(lengths) + 1)
+
+    monkeypatch.setattr(closed_form, "apery_set", raised)
+    row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
+    assert (row.closed, row.oracle, row.status, row.note) == (True, False, STATUS_MISMATCH, "")
 
 
 def same_sum_other_values(real, params, cap):
