@@ -68,8 +68,13 @@ class GrepunitParams(NamedTuple("GrepunitParams", [("a", int), ("b", int), ("n",
         return repunit(self.b, self.n) + self.a * repunit(self.b, i - 1)
 
     def generators(self) -> list[int]:
-        """Minimal generating set [a_1, ..., a_n], ascending."""
-        return [self.generator(i) for i in range(1, self.n + 1)]
+        """Minimal generating set [a_1, ..., a_n], ascending, in one pass:
+        repunit(b, i) is repunit(b, i - 1) * b + 1."""
+        m, r, gens = repunit(self.b, self.n), 0, []
+        for _ in range(self.n):
+            gens.append(m + self.a * r)
+            r = r * self.b + 1
+        return gens
 
 
 def validate(a: int, b: int, n: int) -> GrepunitParams:

@@ -8,20 +8,21 @@ integer), Frobenius number, genus and n(S) by bit length and popcount
 of that mask, Apéry sets as residue-indexed tables (entry r is the
 element congruent to r) by Böcker-Lipták round-robin over residue
 classes, or, for m from APERY_WINDOW_MIN on, one m-bit window of values
-at a time, with the genus by Selmer's formula, pseudo-Frobenius numbers
-by the generator test on the Apéry set cross-checked against the raw
+at a time, the next taken from a bitmask of the windows ahead, with the
+genus by Selmer's formula, pseudo-Frobenius numbers by the generator
+test on the Apéry set cross-checked, mask against mask, with the raw
 definition on the membership mask, and the factorization lengths of the
 Apéry elements by whole-mask length levels, each level the one below
-shifted by the generators and kept within the Apéry mask.  Nothing in
-this module consults the closed formulas it is used to check, nor the
-Apéry sets they build; the sieve's windows share no code with the
-Apéry set's.
+shifted by the generators and kept within the Apéry mask.
+Nothing in this module consults the closed formulas it is used to check,
+nor the Apéry sets they build; the sieve's windows share no code with
+the Apéry set's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
 
@@ -272,20 +273,28 @@ def apery_windows(sg: GenericSemigroup, top_cap: int) -> list[tuple[int, int]] |
     full = (1 << m) - 1
     # a step reads window j - q and the top bits of window j - q - 1
     steps = sorted({(g // m, m - g % m) for g in sg.gens if g % m})  # (q, right shift)
-    reach = {d for q, _ in steps for d in (q, q + 1)}
     depth = max((q for q, _ in steps), default=0)  # window j reads no pair below j - depth
+    # The frontier is one int: bit i of `ahead` is window j + 1 + i, bit
+    # d - 1 of `reach` a step of d windows.  A window at or past `limit`
+    # gives up however far past, so steps are cut to `limit` windows and
+    # a huge generator costs no huge mask.
+    limit = max(top_cap // m, 0) + 1
+    reach = 0
+    for d in {d for q, _ in steps for d in (q, q + 1)}:
+        reach |= 1 << min(d, limit) - 1
     pairs = {0: 1 << m, 1: 1}  # pairs[j]: window j above window j - 1, so one shift reads both
     visited = [(0, 1)]  # window 0 holds only 0: every other generator exceeds m
     dropped = 0  # the windows visited[:dropped] have no pair left
     covered = 1
-    pending = set(reach)  # the windows above j that some step reaches
+    j, ahead = 0, reach
     while covered != full:
-        if not pending:  # with gcd 1 every class holds a member
+        if not ahead:  # with gcd 1 every class holds a member
             raise RouteDisagreementError(
                 f"{m - covered.bit_count()} residue classes mod {m} never reached"
             )
-        j = min(pending)
-        pending.remove(j)
+        skip = (ahead & -ahead).bit_length()  # to the lowest window ahead
+        j += skip
+        ahead >>= skip
         if j * m > top_cap:  # some class's element lies at or beyond window j
             return None
         cand = 0
@@ -303,7 +312,7 @@ def apery_windows(sg: GenericSemigroup, top_cap: int) -> list[tuple[int, int]] |
             covered |= new
             pairs[j] = new << m | pairs.get(j, 0)
             pairs[j + 1] = new
-            pending.update([j + d for d in reach])
+            ahead |= reach
     return visited
 
 
@@ -409,23 +418,28 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     Numerical Semigroups, 2009, §2).  Cross-checked against the raw
     definition on the membership mask alone: x not in S with x + g in S for
     every generator g (adding a generator at a time reaches every nonzero
-    member).
+    member).  The routes are compared as masks, the definition's shifted
+    up by m, and only the agreed mask is read out as numbers.
     """
     sg = inv.semigroup
+    m = sg.multiplicity
     maximal = inv.apery_mask
     for g in sg.gens[1:]:
         maximal ^= maximal & (inv.apery_mask >> g)
-    pf = [w - sg.multiplicity for w in _set_bits(maximal)]
 
     s = inv.sieve.mask
     below = (1 << (inv.frobenius + 1)) - 1
     candidates = below ^ (s & below)  # the gaps, all in [0, F]
+    del below
     for g in sg.gens:
         candidates &= s >> g
-    direct = _set_bits(candidates)
-    if all(s & 1 << (g - 1) for g in sg.gens):  # x = -1, which qualifies iff S = N
-        direct.insert(0, -1)
-    if pf != direct:
+    # compared as w = x + m, so x = -1, which qualifies iff S = N, is bit m - 1
+    candidates <<= m
+    if all(s & 1 << (g - 1) for g in sg.gens):
+        candidates |= 1 << (m - 1)
+    pf = [w - m for w in _set_bits(maximal)]
+    if maximal != candidates:
+        direct = [w - m for w in _set_bits(candidates)]
         raise RouteDisagreementError(f"pseudo-Frobenius routes disagree: {pf} vs {direct}")
     return pf
 
@@ -484,7 +498,7 @@ class WilfData(NamedTuple):
         return len(self.minimal_generators)
 
 
-def wilf_data(inv: SemigroupInvariants, pf: list[int]) -> WilfData:
+def wilf_data(inv: SemigroupInvariants, pf: Sequence[int]) -> WilfData:
     """Wilf and type bounds of `inv`'s semigroup, whose pseudo-Frobenius numbers are `pf`."""
     gens = tuple(minimal_generators(inv.semigroup))
     e, t = len(gens), len(pf)

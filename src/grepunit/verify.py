@@ -4,10 +4,13 @@
 along both routes; `run_checks` turns each check's result on one triple
 into a match / mismatch / skip row.  The checks share the triple's oracle
 bundle and closed-form Apéry set, each built once, on first use, refusal
-included.  A capacity overrun is a `skipped-capacity` row and a route
-disagreement inside either engine a `mismatch` row with the error as its
-note.  Grid sweeps iterate triples in ascending (b, n, a) order so
-output is deterministic.
+included.  The bundle holds the oracle's invariants and pseudo-Frobenius
+numbers only: the Wilf data, which the `wilf` check alone reads, is a
+third shared input built from the bundle on that check's first row, and
+`oracle_report` builds its own.  A capacity overrun is a
+`skipped-capacity` row and a route disagreement inside either engine a
+`mismatch` row with the error as its note.  Grid sweeps iterate triples
+in ascending (b, n, a) order so output is deterministic.
 """
 
 from __future__ import annotations
@@ -64,20 +67,18 @@ class VerifyOutcome(NamedTuple):
 
 
 class OracleBundle(NamedTuple):
-    """Everything the brute-force engine knows about one triple, computed
-    once and shared by all its checks."""
+    """What the brute-force engine computes for every check of one triple,
+    computed once and shared by all of them.  The Wilf data, which only
+    the `wilf` check reads, is built from it on demand."""
 
     invariants: oracle.SemigroupInvariants
     pseudo_frobenius: tuple[int, ...]
-    wilf: oracle.WilfData
 
 
 def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
     sg = oracle.GenericSemigroup.from_values(params.generators())
     inv = oracle.basic_invariants(sg, sieve_cap=sieve_cap)
-    pf = oracle.pseudo_frobenius(inv)
-    wilf = oracle.wilf_data(inv, pf)
-    return OracleBundle(inv, tuple(pf), wilf)
+    return OracleBundle(inv, tuple(oracle.pseudo_frobenius(inv)))
 
 
 def _digest(values: list[int]) -> dict:
@@ -96,16 +97,17 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
     bundle = oracle_bundle(params, caps.sieve)
     inv = bundle.invariants
     pf = bundle.pseudo_frobenius
+    wilf = oracle.wilf_data(inv, pf)
     return closed_form.InvariantReport(
         params=params,
-        generators=bundle.wilf.minimal_generators,
+        generators=wilf.minimal_generators,
         frobenius=inv.frobenius,
         genus=inv.genus,
         pseudo_frobenius=pf,
         type=len(pf),
         apery_sum=sum(oracle._set_bits(inv.apery_mask)),
         n_of_s=inv.n_below,
-        wilf_ok=bundle.wilf.wilf_ok,
+        wilf_ok=wilf.wilf_ok,
         source="oracle",
     )
 
@@ -134,9 +136,10 @@ def _memo(build):
 
 
 class _Shared:
-    """The inputs that the checks of one triple share: the oracle bundle
-    and the closed-form Apéry set of a_1, each built once, on first use,
-    the set only after its cap and the bundle have passed."""
+    """The inputs that the checks of one triple share: the oracle bundle,
+    its Wilf data and the closed-form Apéry set of a_1, each built once,
+    on first use, the Wilf data after the bundle and the set only after
+    its cap and the bundle have passed."""
 
     def __init__(self, params: GrepunitParams, caps: Caps):
         self.caps = caps
@@ -149,6 +152,7 @@ class _Shared:
             return closed_form.apery_set(params, cap=caps.apery)
 
         self.apery = _memo(build_apery)
+        self.wilf = _memo(lambda: oracle.wilf_data(bundle().invariants, bundle().pseudo_frobenius))
 
 
 def _equal(closed, brute) -> tuple:
@@ -198,7 +202,7 @@ def _homogeneous(params, shared):
 
 
 def _wilf(params, shared):
-    wilf = shared.bundle().wilf
+    wilf = shared.wilf()
     ok = closed_form.wilf_ok(params)
     # for this family type + 1 = embedding dimension, so the
     # sharper bound coincides with Wilf's on the closed side

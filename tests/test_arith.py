@@ -67,6 +67,15 @@ def test_generators_ascending_and_coprime(grid):
         assert math.gcd(*gens) == 1
 
 
+@given(st.integers(1, 10**6), st.integers(2, 40), st.integers(2, 30))
+def test_generators_agree_with_each_generator(a, b, n):
+    try:
+        p = validate(a, b, n)
+    except InvalidParametersError:
+        return
+    assert p.generators() == [p.generator(i) for i in range(1, n + 1)]
+
+
 def test_generator_gaps(grid):
     # consecutive generators differ by a * b**(i-2)
     for p in grid:

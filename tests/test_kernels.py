@@ -4,7 +4,8 @@ The references below are the earlier kernels, kept here only to compare
 against: a byte-per-integer DP sieve (which both the shift-or closure
 and the windowed sieve must reproduce), the relaxation Apéry set (which
 both the round-robin and the m-bit windows must reproduce), the
-O(m^2) scan for maximal Apéry elements, a memoised depth-first
+O(m^2) scan for maximal Apéry elements, the window route with its
+frontier kept as a set of window numbers, a memoised depth-first
 length-set search, the per-integer length-table DP over every integer
 up to the largest Apéry element, and the per-integer affine closure
 loop.  They must agree with `oracle` and `closed_form.affine_closure_ok`
@@ -15,7 +16,7 @@ generating sets, minimal or not.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grepunit import closed_form, oracle
@@ -128,6 +129,47 @@ def loop_affine_ok(params, bound: int, member) -> bool:
         if member(s) and not member(b * s + shift):
             return False
     return True
+
+
+def set_frontier_windows(sg, top_cap: int) -> list[tuple[int, int]] | None:
+    """`oracle.apery_windows` with its frontier kept as a set of the
+    window numbers above j that some step reaches, the least taken next."""
+    m = sg.multiplicity
+    full = (1 << m) - 1
+    steps = sorted({(g // m, m - g % m) for g in sg.gens if g % m})
+    reach = {d for q, _ in steps for d in (q, q + 1)}
+    depth = max((q for q, _ in steps), default=0)
+    pairs = {0: 1 << m, 1: 1}
+    visited = [(0, 1)]
+    dropped = 0
+    covered = 1
+    pending = set(reach)
+    while covered != full:
+        if not pending:
+            raise RouteDisagreementError(
+                f"{m - covered.bit_count()} residue classes mod {m} never reached"
+            )
+        j = min(pending)
+        pending.remove(j)
+        if j * m > top_cap:
+            return None
+        cand = 0
+        for q, r in steps:
+            cand |= pairs.get(j - q, 0) >> r
+        new = cand & full
+        new ^= new & covered
+        visited.append((j, new))
+        while visited[dropped][0] < j - depth:
+            k = visited[dropped][0]
+            pairs.pop(k, None)
+            pairs.pop(k + 1, None)
+            dropped += 1
+        if new:
+            covered |= new
+            pairs[j] = new << m | pairs.get(j, 0)
+            pairs[j + 1] = new
+            pending.update([j + d for d in reach])
+    return visited
 
 
 def window_table(sg) -> list[int]:
@@ -337,6 +379,38 @@ def test_window_route_visits_at_most_2_e_minus_1_m_plus_1_windows(gens, visited)
     windows = oracle.apery_windows(sg, TOP_CAP)
     assert len(windows) == visited
     assert len(windows) <= 2 * (len(sg.gens) - 1) * sg.multiplicity + 1
+
+
+def window_outcome(route, gens, top_cap: int):
+    """What a window route returns, or the note of the error it raises;
+    gens need not have gcd 1."""
+    sg = tuple.__new__(oracle.GenericSemigroup, (tuple(sorted(set(gens))),))
+    try:
+        return route(sg, top_cap)
+    except RouteDisagreementError as exc:
+        return str(exc)
+
+
+@st.composite
+def window_steps(draw):
+    """A least value m up to 40 and up to four more, up to a hundred
+    windows of m above it, so that steps skip windows; the gcd may exceed 1."""
+    m = draw(st.integers(1, 40))
+    return [m] + draw(st.lists(st.integers(m, 100 * m), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(generating_sets(), window_steps()), st.integers(-50, 5000))
+@example([3, 1000003], TOP_CAP)
+@example([3, 1000003], 1000003)  # gives up at window 333335
+@example([3, 1000003], -1)  # steps cut to one window
+@example([1001, 51001, 551001], TOP_CAP)
+@example([1001, 51001, 551001], 100_000)
+@example([4, 6], TOP_CAP)  # gcd 2: two classes never reached
+@example([2, 4], TOP_CAP)  # no step at all
+def test_window_frontier_agrees_with_the_set_frontier(gens, top_cap):
+    expected = window_outcome(set_frontier_windows, gens, top_cap)
+    assert window_outcome(oracle.apery_windows, gens, top_cap) == expected
 
 
 def check_sieve_routes(gens, bound: int) -> None:

@@ -119,6 +119,18 @@ def test_window_route_gives_up_past_its_top_cap():
     assert oracle.apery_windows(sg(1000, 1001), 998_999) is None
 
 
+def test_window_route_frontier_stops_at_its_top_cap():
+    # a step of 10^8 windows lies far past the 3334 windows that top_cap
+    # allows; a frontier as wide as the step would take 12.5 MB
+    tracemalloc.start()
+    try:
+        assert oracle.apery_windows(sg(300, 300 * 10**8 + 1), 10**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_window_route_drops_the_pairs_no_later_step_reads():
     # Ap(<2000, 2001>, 2000) has one element in each of windows 0..1999 and
     # every step reads the window below; keeping each window's 4000-bit
@@ -411,10 +423,50 @@ def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(mon
 
 
 def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
+    # Ap(<7, 8, 10>, 7) without 26, its largest element; the note lists
+    # the Apéry route's numbers, then the definition's
     inv = oracle.basic_invariants(sg(7, 8, 10))
     cleared = inv._replace(apery_mask=inv.apery_mask ^ 1 << inv.apery_mask.bit_length() - 1)
-    with pytest.raises(RouteDisagreementError, match="pseudo-Frobenius routes disagree"):
+    with pytest.raises(RouteDisagreementError) as exc_info:
         oracle.pseudo_frobenius(cleared)
+    assert str(exc_info.value) == "pseudo-Frobenius routes disagree: [9, 11, 13] vs [13, 19]"
+
+
+@pytest.mark.parametrize(
+    "gens, planted, note",
+    [
+        # the gap 13 made a member: 13 fails the definition and 6 (6 + 7 = 13, 14, 16) passes it
+        ((7, 8, 10), 13, "[13, 19] vs [6, 19]"),
+        # 0 made a gap of <1> = N: -1 fails the definition
+        ((1,), 0, "[-1] vs []"),
+    ],
+)
+def test_pseudo_frobenius_routes_disagree_on_a_flipped_sieve_bit(gens, planted, note):
+    inv = oracle.basic_invariants(sg(*gens))
+    flipped = inv._replace(sieve=inv.sieve._replace(mask=inv.sieve.mask ^ 1 << planted))
+    with pytest.raises(RouteDisagreementError) as exc_info:
+        oracle.pseudo_frobenius(flipped)
+    assert str(exc_info.value) == f"pseudo-Frobenius routes disagree: {note}"
+
+
+def test_pseudo_frobenius_disagreement_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from grepunit import oracle
+
+        inv = oracle.basic_invariants(oracle.GenericSemigroup((7, 8, 10)))
+        print(__debug__)
+        oracle.pseudo_frobenius(inv._replace(sieve=inv.sieve._replace(mask=inv.sieve.mask ^ 1 << 13)))
+        """
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False"  # assert statements are compiled away
+    assert proc.returncode != 0
+    assert "RouteDisagreementError: pseudo-Frobenius routes disagree: [13, 19] vs [6, 19]" in proc.stderr
 
 
 def test_minimal_generators_drop_redundant():

@@ -237,7 +237,7 @@ def test_records_refuse_attribute_assignment():
     bundle = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)
     inv = bundle.invariants
     records = (
-        p, inv.semigroup, inv.sieve, inv, bundle.wilf,
+        p, inv.semigroup, inv.sieve, inv, verify._Shared(p, Caps()).wilf(),
         closed_form.lattice_matrix(p), invariant_report(p),
         Caps(), run_checks(p, ("frobenius",))[0], bundle,
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2)),
@@ -334,6 +334,27 @@ def test_sweep_builds_one_bundle_per_valid_triple(monkeypatch):
     rows, _ = sweep(SweepSpec(a_range=(1, 4), b_range=(2, 3), n_range=(2, 3)))
     # every check of a triple reads the one bundle built for it
     assert built == list(dict.fromkeys((r.a, r.b, r.n) for r in rows if r.check != "validate"))
+
+
+@pytest.mark.parametrize("checks, per_triple", [(("frobenius", "genus", "pf"), 0), (("wilf",), 1), (CHECK_NAMES, 1)])
+def test_wilf_data_is_built_only_for_the_wilf_check(monkeypatch, checks, per_triple):
+    built = []
+    real = oracle.wilf_data
+    monkeypatch.setattr(oracle, "wilf_data", lambda inv, pf: built.append(inv.semigroup.gens) or real(inv, pf))
+    rows, _ = sweep(SweepSpec(a_range=(1, 4), b_range=(2, 3), n_range=(2, 3), checks=checks))
+    valid = dict.fromkeys((r.a, r.b, r.n) for r in rows if r.check != "validate")
+    assert len(valid) == 13
+    assert built == [tuple(validate(*t).generators()) for t in valid] * per_triple
+    assert all(r.status == STATUS_MATCH for r in rows if r.check in ("frobenius", "wilf"))
+
+
+def test_wilf_row_of_a_refused_oracle_builds_no_wilf_data(monkeypatch):
+    def unreachable(inv, pf):
+        raise AssertionError("Wilf data built")
+
+    monkeypatch.setattr(oracle, "wilf_data", unreachable)
+    row = run_checks(validate(3, 3, 4), ("wilf",), Caps(sieve=100))[0]
+    assert (row.status, row.note) == (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
 
 
 def test_refused_oracle_is_built_once_for_all_checks(monkeypatch):
