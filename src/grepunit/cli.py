@@ -154,25 +154,11 @@ def summary_line(summary: dict) -> str:
     return "summary: " + ", ".join(f"{summary[s]} {s}" for s in STATUS_ORDER)
 
 
-def report_doc(report: InvariantReport) -> dict:
-    return {
-        "kind": "report",
-        "version": __version__,
-        "params": report.params._asdict(),
-        "source": report.source,
-        "generators": list(report.generators),
-        "frobenius": report.frobenius,
-        "genus": report.genus,
-        "pseudo_frobenius": list(report.pseudo_frobenius),
-        "type": report.type,
-        "apery_sum": report.apery_sum,
-        "n_of_s": report.n_of_s,
-        "wilf_ok": report.wilf_ok,
-    }
-
-
 def render_report(report: InvariantReport, fmt: str) -> str:
-    doc = report_doc(report)
+    # the record's fields in declaration order; the params, replaced by
+    # their own object, keep their place
+    doc = {"kind": "report", "version": __version__, **report._asdict()}
+    doc["params"] = report.params._asdict()
     if fmt == "json":
         return to_json(doc) + "\n"
     if fmt == "csv":
@@ -289,7 +275,7 @@ def cmd_sweep(args) -> int:
             skip_invalid=not args.no_skip_invalid,
         )
     except ValueError as exc:
-        raise UsageError(str(exc))
+        args.parser.error(str(exc))
     rows, summary = sweep(spec, make_caps(args))
     emit(render_rows("sweep", {"spec": spec._asdict()}, rows, args.format), args.out)
     if args.out or args.format == "csv":
@@ -298,20 +284,17 @@ def cmd_sweep(args) -> int:
     return EXIT_MISMATCH if summary[STATUS_MISMATCH] else EXIT_OK
 
 
-class UsageError(Exception):
-    pass
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="grepunit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--cap", type=int, default=None, metavar="N",
                        help="capacity limit for Apéry enumeration and sieves")
         p.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
         p.add_argument("--format", choices=FORMATS, default="text")
+        p.set_defaults(func=func, parser=p)  # the subcommand's parser reports its usage errors
 
     rep = sub.add_parser("report", help="all invariants of one semigroup")
     rep.add_argument("-a", type=int, required=True)
@@ -319,8 +302,7 @@ def build_parser() -> Parser:
     rep.add_argument("-n", type=int, required=True)
     rep.add_argument("--source", choices=("closed", "oracle"), default="closed",
                      help="compute via closed formulas (default) or brute force")
-    common(rep)
-    rep.set_defaults(func=cmd_report)
+    common(rep, cmd_report)
 
     ver = sub.add_parser("verify", help="closed formulas vs oracle on one semigroup")
     ver.add_argument("-a", type=int, required=True)
@@ -328,8 +310,7 @@ def build_parser() -> Parser:
     ver.add_argument("-n", type=int, required=True)
     ver.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
                      metavar="NAMES", help="comma-separated check names, or 'all'")
-    common(ver)
-    ver.set_defaults(func=cmd_verify)
+    common(ver, cmd_verify)
 
     swp = sub.add_parser("sweep", help="verify over an inclusive parameter grid")
     swp.add_argument("--a", type=parse_range, required=True, metavar="LO..HI")
@@ -339,20 +320,16 @@ def build_parser() -> Parser:
                      metavar="NAMES", help="comma-separated check names, or 'all'")
     swp.add_argument("--no-skip-invalid", action="store_true",
                      help="fail on invalid triples instead of recording them")
-    common(swp)
-    swp.set_defaults(func=cmd_sweep)
+    common(swp, cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.cap is not None and args.cap < 1:
-        parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
+        args.parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))
     except InvalidParametersError as exc:
         render_failure(args, "invalid-params", exc)
         return EXIT_INVALID

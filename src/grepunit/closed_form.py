@@ -304,6 +304,7 @@ class InvariantReport(NamedTuple):
     """All invariants of one semigroup, with the route that produced them."""
 
     params: GrepunitParams
+    source: str  # "closed-form" or "oracle"
     generators: tuple[int, ...]
     frobenius: int
     genus: int
@@ -312,7 +313,6 @@ class InvariantReport(NamedTuple):
     apery_sum: int
     n_of_s: int
     wilf_ok: bool
-    source: str  # "closed-form" or "oracle"
 
 
 def wilf_ok(params: GrepunitParams) -> bool:
@@ -330,6 +330,7 @@ def invariant_report(params: GrepunitParams) -> InvariantReport:
     n_of_s = f + 1 - g
     return InvariantReport(
         params=params,
+        source="closed-form",
         generators=tuple(params.generators()),
         frobenius=f,
         genus=g,
@@ -338,5 +339,4 @@ def invariant_report(params: GrepunitParams) -> InvariantReport:
         apery_sum=apery_sum(params),
         n_of_s=n_of_s,
         wilf_ok=wilf_ok(params),
-        source="closed-form",
     )

@@ -35,6 +35,7 @@ class GenericSemigroup(NamedTuple("GenericSemigroup", [("gens", tuple[int, ...])
     __slots__ = ()
 
     def __new__(cls, gens: tuple[int, ...]):
+        gens = tuple(gens)
         if not gens:
             raise NotNumericalSemigroupError("empty generating set")
         if any(g <= 0 for g in gens):

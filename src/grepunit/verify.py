@@ -3,11 +3,8 @@
 `CHECKS` maps each check name to a function that computes one invariant
 along both routes; `run_checks` turns each check's result on one triple
 into a match / mismatch / skip row.  The checks share the triple's oracle
-bundle and closed-form Apéry set, each built once, on first use, refusal
-included.  The bundle holds the oracle's invariants and pseudo-Frobenius
-numbers only: the Wilf data, which the `wilf` check alone reads, is a
-third shared input built from the bundle on that check's first row, and
-`oracle_report` builds its own.  A capacity overrun is a
+bundle, its closed-form Apéry set and that set's digest, each built once,
+on first use, refusal included.  A capacity overrun is a
 `skipped-capacity` row and a route disagreement inside either engine a
 `mismatch` row with the error as its note.  Grid sweeps iterate triples
 in ascending (b, n, a) order so output is deterministic.
@@ -68,8 +65,7 @@ class VerifyOutcome(NamedTuple):
 
 class OracleBundle(NamedTuple):
     """What the brute-force engine computes for every check of one triple,
-    computed once and shared by all of them.  The Wilf data, which only
-    the `wilf` check reads, is built from it on demand."""
+    computed once and shared by all of them."""
 
     invariants: oracle.SemigroupInvariants
     pseudo_frobenius: tuple[int, ...]
@@ -100,6 +96,7 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
     wilf = oracle.wilf_data(inv, pf)
     return closed_form.InvariantReport(
         params=params,
+        source="oracle",
         generators=wilf.minimal_generators,
         frobenius=inv.frobenius,
         genus=inv.genus,
@@ -108,7 +105,6 @@ def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.In
         apery_sum=sum(oracle._set_bits(inv.apery_mask)),
         n_of_s=inv.n_below,
         wilf_ok=wilf.wilf_ok,
-        source="oracle",
     )
 
 
@@ -137,9 +133,9 @@ def _memo(build):
 
 class _Shared:
     """The inputs that the checks of one triple share: the oracle bundle,
-    its Wilf data and the closed-form Apéry set of a_1, each built once,
-    on first use, the Wilf data after the bundle and the set only after
-    its cap and the bundle have passed."""
+    the closed-form Apéry set of a_1 and the digest of its sorted values,
+    each built once, on first use, the set only after the oracle's
+    multiplicity refusal, its own cap and the bundle have passed."""
 
     def __init__(self, params: GrepunitParams, caps: Caps):
         self.caps = caps
@@ -147,12 +143,13 @@ class _Shared:
         bundle = self.bundle = _memo(lambda: oracle_bundle(params, caps.sieve))
 
         def build_apery() -> closed_form.AperySet:
+            oracle.check_multiplicity(params.multiplicity, caps.sieve)
             closed_form.check_cap(params.multiplicity, caps.apery)
             bundle()
             return closed_form.apery_set(params, cap=caps.apery)
 
-        self.apery = _memo(build_apery)
-        self.wilf = _memo(lambda: oracle.wilf_data(bundle().invariants, bundle().pseudo_frobenius))
+        apery = self.apery = _memo(build_apery)
+        self.digest = _memo(lambda: _digest(sorted(apery()[0])))
 
 
 def _equal(closed, brute) -> tuple:
@@ -168,11 +165,11 @@ def _genus(params, shared):
 
 
 def _apery(params, shared):
-    closed_values = sorted(shared.apery()[0])
+    closed_values = shared.apery()[0]
     apery_mask = shared.bundle().invariants.apery_mask
-    same = oracle._mask_of(closed_values, closed_values[-1]) == apery_mask
+    same = oracle._mask_of(closed_values, max(closed_values)) == apery_mask
     matched = same and closed_form.apery_sum(params) == sum(closed_values)
-    digest = _digest(closed_values)
+    digest = shared.digest()
     return digest, digest if same else _digest(oracle._set_bits(apery_mask)), matched
 
 
@@ -202,7 +199,8 @@ def _homogeneous(params, shared):
 
 
 def _wilf(params, shared):
-    wilf = shared.wilf()
+    bundle = shared.bundle()
+    wilf = oracle.wilf_data(bundle.invariants, bundle.pseudo_frobenius)
     ok = closed_form.wilf_ok(params)
     # for this family type + 1 = embedding dimension, so the
     # sharper bound coincides with Wilf's on the closed side
@@ -242,10 +240,8 @@ def _recursive(params, shared):
     lifted = closed_form.apery_set_recursive(prev, params, cap=shared.caps.apery)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
-    if direct == lifted:
-        digest = _digest(sorted(direct[0]))
-        return digest, digest, True
-    return _digest(sorted(direct[0])), _digest(sorted(lifted[0])), False
+    same = direct == lifted
+    return shared.digest(), shared.digest() if same else _digest(sorted(lifted[0])), same
 
 
 def _affine(params, shared):
@@ -257,9 +253,10 @@ def _affine(params, shared):
 
 # Check name -> f(params, shared) -> (closed, oracle, matched).  A check
 # raises CapacityError or _Unsupported to be skipped, and asks for its
-# shared inputs in the order of the notes' precedence: the closed-form
-# Apéry cap (`shared.apery()` tests it, then asks for the bundle itself),
-# then the oracle bundle, then its own skipped-unsupported.
+# shared inputs in the order of the notes' precedence: the oracle's
+# multiplicity refusal, then the closed-form Apéry cap (`shared.apery()`
+# tests both, then asks for the bundle itself), then the oracle bundle,
+# then its own skipped-unsupported.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,
@@ -280,8 +277,6 @@ def _row(params: GrepunitParams, check: str, shared: _Shared) -> VerifyOutcome:
         raise ValueError(f"unknown check {check!r}")
     a, b, n = params.a, params.b, params.n
     try:
-        # the oracle's up-front refusal comes first on every row
-        oracle.check_multiplicity(params.multiplicity, shared.caps.sieve)
         closed, brute, matched = CHECKS[check](params, shared)
     except CapacityError as exc:
         return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_CAPACITY, str(exc))
@@ -310,6 +305,7 @@ class SweepSpec(NamedTuple("SweepSpec", [
     __slots__ = ()
 
     def __new__(cls, a_range, b_range, n_range, checks=CHECK_NAMES, skip_invalid=True):
+        a_range, b_range, n_range, checks = map(tuple, (a_range, b_range, n_range, checks))
         for name, (lo, hi) in (("a", a_range), ("b", b_range), ("n", n_range)):
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}..{hi}")

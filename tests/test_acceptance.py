@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from grepunit import closed_form
+from grepunit import closed_form, oracle
 from grepunit.arith import repunit, validate
 from grepunit.errors import (
     InvalidBaseError,
@@ -18,7 +18,7 @@ from grepunit.errors import (
     InvalidParametersError,
     NotCoprimeError,
 )
-from grepunit.verify import Caps, _Shared, oracle_bundle, run_checks
+from grepunit.verify import Caps, oracle_bundle, run_checks
 
 GRID_CHECKS = ("frobenius", "genus", "apery", "pf", "type")
 
@@ -145,7 +145,8 @@ def test_criterion_08_lattice_minors(announce, grid):
 def test_criterion_09_wilf_and_type_bounds(announce, grid):
     with announce(9, "Wilf bound and the sharper type bound"):
         for p in grid:
-            wilf = _Shared(p, Caps()).wilf()  # what the `wilf` check reads
+            bundle = oracle_bundle(p, Caps().sieve)
+            wilf = oracle.wilf_data(bundle.invariants, bundle.pseudo_frobenius)  # what the `wilf` check reads
             assert wilf.wilf_ok, f"(a={p.a}, b={p.b}, n={p.n})"
             assert wilf.type_bound_ok, f"(a={p.a}, b={p.b}, n={p.n})"
             assert closed_form.invariant_report(p).wilf_ok

@@ -273,6 +273,21 @@ def test_usage_errors_exit_64(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--a", "1", "--b", "1..2", "--n", "2"],
+     "grepunit sweep: error: b range must start at 2 or above, got 1"),
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "0"],
+     "grepunit verify: error: argument --cap: must be a positive integer, got 0"),
+])
+def test_usage_errors_found_after_parsing_name_the_subcommand(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: grepunit {argv[0]} [-h]")
+    assert err.endswith(f"\n{error}\n")
+
+
 def test_sweep_json_validates_and_matches(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--format", "json"

@@ -36,6 +36,12 @@ def test_rejects_non_semigroup_generators():
         sg(-2, 3)
 
 
+def test_generators_given_as_a_list_are_held_as_a_tuple():
+    inv = oracle.basic_invariants(oracle.GenericSemigroup([3, 5]))
+    assert inv.semigroup.gens == (3, 5)
+    assert hash(inv) == hash(oracle.basic_invariants(oracle.GenericSemigroup((3, 5))))
+
+
 def test_replace_validates_again():
     with pytest.raises(NotNumericalSemigroupError):
         oracle.GenericSemigroup((3, 5))._replace(gens=(4, 6))

@@ -98,9 +98,11 @@ def test_apery_cap_refuses_before_the_oracle_bundle(monkeypatch, check):
     assert row.note == "40 coefficient tuples exceed cap 10"
 
 
-def test_sieve_refusal_keeps_precedence_over_the_apery_cap():
-    # 2m = 80 cells over the sieve cap is refused before the Apéry stage
-    row = run_checks(validate(3, 3, 4), ("apery",), Caps(apery=10, sieve=79))[0]
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_sieve_refusal_keeps_precedence_over_the_apery_cap(check):
+    # 2m = 80 cells over the sieve cap is refused before the Apéry stage,
+    # on every row, the Apéry cap's and the unsupported checks' included
+    row = run_checks(validate(3, 3, 4), (check,), Caps(apery=10, sieve=79))[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note.startswith("multiplicity 40 needs a sieve bound of at least 79")
 
@@ -207,6 +209,17 @@ def test_apery_check_reports_digests():
     assert row.closed["max"] == 391
 
 
+def test_apery_and_recursive_share_one_digest_of_the_closed_set(monkeypatch):
+    digested = []
+    real = verify._digest
+    monkeypatch.setattr(verify, "_digest", lambda values: digested.append(list(values)) or real(values))
+    p = validate(3, 3, 4)
+    rows = run_checks(p, ("apery", "recursive"))
+    assert [r.status for r in rows] == [STATUS_MATCH, STATUS_MATCH]
+    assert rows[0].closed == rows[0].oracle == rows[1].closed == rows[1].oracle
+    assert digested == [sorted(closed_form.apery_set(p)[0])]
+
+
 def test_oracle_report_agrees_with_closed_report():
     for a, b, n in ((1, 2, 3), (3, 3, 4), (5, 2, 2), (44, 5, 3)):
         p = validate(a, b, n)
@@ -237,7 +250,7 @@ def test_records_refuse_attribute_assignment():
     bundle = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)
     inv = bundle.invariants
     records = (
-        p, inv.semigroup, inv.sieve, inv, verify._Shared(p, Caps()).wilf(),
+        p, inv.semigroup, inv.sieve, inv, oracle.wilf_data(inv, bundle.pseudo_frobenius),
         closed_form.lattice_matrix(p), invariant_report(p),
         Caps(), run_checks(p, ("frobenius",))[0], bundle,
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2)),
@@ -298,6 +311,12 @@ def test_sweep_spec_validation():
     spec = SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2))
     with pytest.raises(ValueError):
         spec._replace(b_range=(1, 2))
+
+
+def test_sweep_spec_holds_tuples_whatever_sequences_it_is_given():
+    spec = SweepSpec([1, 2], [2, 3], [2, 2], ["genus"])
+    assert spec == SweepSpec((1, 2), (2, 3), (2, 2), ("genus",))
+    assert hash(spec) == hash(SweepSpec((1, 2), (2, 3), (2, 2), ("genus",)))
 
 
 def test_outcome_shape():
