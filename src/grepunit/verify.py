@@ -46,7 +46,8 @@ class VerifyOutcome(NamedTuple):
 
     `closed` and `oracle` hold the two independently computed values
     (JSON-ready); for structural checks the oracle slot holds the second,
-    independent route.
+    independent route.  Where the two values are equal, both slots hold
+    one object.
     """
 
     a: int
@@ -72,7 +73,7 @@ class OracleBundle(NamedTuple):
 
 
 def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
-    sg = oracle.GenericSemigroup.from_values(params.generators())
+    sg = oracle.GenericSemigroup(params.generators())  # ascending and distinct already
     inv = oracle.basic_invariants(sg, sieve_cap=sieve_cap)
     return OracleBundle(inv, tuple(oracle.pseudo_frobenius(inv)))
 
@@ -112,48 +113,53 @@ class _Unsupported(Exception):
     """The check does not apply to this triple; the message is the note."""
 
 
-def _memo(build):
-    """build() on the first call; its value, or the refusal or route
-    disagreement it raised, on every call.  The error is kept without the
-    traceback whose frames hold the tables built so far."""
-    kept = []
-
-    def get():
-        if not kept:
-            try:
-                kept.append(build())
-            except (CapacityError, RouteDisagreementError) as exc:
-                kept.append(exc.with_traceback(None))
-        if isinstance(kept[0], Exception):
-            raise type(kept[0])(*kept[0].args)  # a copy: a raised error's traceback holds the memo
-        return kept[0]
-
-    return get
-
-
 class _Shared:
     """The inputs that the checks of one triple share: the oracle bundle,
     the closed-form Apéry set of a_1 and the digest of its sorted values,
     each built once, on first use, the set only after the oracle's
-    multiplicity refusal, its own cap and the bundle have passed."""
+    multiplicity refusal, its own cap and the bundle have passed.  A slot
+    keeps the value, or the refusal or route disagreement its build
+    raised, without the traceback whose frames hold the tables built so
+    far; no build is kept, so no cycle keeps a triple's tables alive."""
+
+    __slots__ = ("params", "caps", "_bundle", "_apery", "_digest")
 
     def __init__(self, params: GrepunitParams, caps: Caps):
-        self.caps = caps
-        # no build refers to self, so no cycle keeps a triple's tables alive
-        bundle = self.bundle = _memo(lambda: oracle_bundle(params, caps.sieve))
+        self.params, self.caps = params, caps
+        self._bundle = self._apery = self._digest = None
 
-        def build_apery() -> closed_form.AperySet:
-            oracle.check_multiplicity(params.multiplicity, caps.sieve)
-            closed_form.check_cap(params.multiplicity, caps.apery)
-            bundle()
-            return closed_form.apery_set(params, cap=caps.apery)
+    def _memo(self, slot: str, build):
+        kept = getattr(self, slot)
+        if kept is None:
+            try:
+                kept = build()
+            except (CapacityError, RouteDisagreementError) as exc:
+                kept = exc.with_traceback(None)
+            setattr(self, slot, kept)
+        if isinstance(kept, Exception):
+            raise type(kept)(*kept.args)  # a copy: a raised error's traceback holds the memo
+        return kept
 
-        apery = self.apery = _memo(build_apery)
-        self.digest = _memo(lambda: _digest(sorted(apery()[0])))
+    def bundle(self) -> OracleBundle:
+        return self._memo("_bundle", lambda: oracle_bundle(self.params, self.caps.sieve))
+
+    def apery(self) -> closed_form.AperySet:
+        return self._memo("_apery", self._build_apery)
+
+    def digest(self) -> dict:
+        return self._memo("_digest", lambda: _digest(sorted(self.apery()[0])))
+
+    def _build_apery(self) -> closed_form.AperySet:
+        m, caps = self.params.multiplicity, self.caps
+        oracle.check_multiplicity(m, caps.sieve)
+        closed_form.check_cap(m, caps.apery)
+        self.bundle()
+        return closed_form.apery_set(self.params, cap=caps.apery)
 
 
 def _equal(closed, brute) -> tuple:
-    return closed, brute, closed == brute
+    same = closed == brute
+    return closed, closed if same else brute, same
 
 
 def _frobenius(params, shared):

@@ -204,6 +204,24 @@ row_headers = st.dictionaries(
                       "skipped-capacity", "Ap\u00e9ry"),
     ],
 )
+# closed and oracle holding one object, whose text is written once
+@example("verify", {}, [VerifyOutcome(1, 2, 3, "apery", *[{"size": 2**60, "x": [2**53 + 1]}] * 2, "match")])
+# equal dicts in a different key order: equal values, different text
+@example("verify", {}, [
+    VerifyOutcome(1, 2, 3, "wilf", {"wilf": True, "type_bound": 1}, {"type_bound": True, "wilf": True}, "match"),
+])
+# "%" in the note and in the check, which is written into the template
+# (a status outside STATUS_ORDER has no summary count)
+@example("sweep", {}, [
+    VerifyOutcome(1, 2, 3, "%s 100%", None, None, "mismatch", "Ap\u00e9ry 10% %s %(a)s %d"),
+    VerifyOutcome(1, 2, 3, "%s 100%", 5, 5, "match", "%"),
+])
+# a, b and n each side of 2**53
+@example("sweep", {}, [
+    VerifyOutcome(-(2**53), 2**53, 2**53 + 1, "frobenius", 2**53, 2**53 + 1, "match"),
+    VerifyOutcome(2**53 + 1, -(2**53), 2**53, "frobenius", -(2**53) - 1, -(2**53), "mismatch"),
+    VerifyOutcome(True, None, "3", "frobenius", False, True, "match"),
+])
 def test_row_template_matches_the_generic_writer(kind, header, rows):
     doc = {
         "kind": kind,
@@ -213,6 +231,13 @@ def test_row_template_matches_the_generic_writer(kind, header, rows):
         "summary": {s: sum(r.status == s for r in rows) for s in STATUS_ORDER},
     }
     assert render_rows(kind, header, rows, "json") == reference_json(doc) + "\n"
+
+
+def test_row_template_keeps_percent_signs_in_check_and_status():
+    text = cli.row_template("%s 100%", "50%d") % (1, 2, 3, "[]", "null", '"%"')
+    assert json.loads(text) == {
+        "a": 1, "b": 2, "n": 3, "check": "%s 100%", "closed": [], "oracle": None, "status": "50%d", "note": "%",
+    }
 
 
 def test_cli_never_passes_an_indent():
@@ -286,6 +311,19 @@ def test_usage_errors_found_after_parsing_name_the_subcommand(capsys, argv, erro
     err = capsys.readouterr().err
     assert err.startswith(f"usage: grepunit {argv[0]} [-h]")
     assert err.endswith(f"\n{error}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--a", "1", "--b", "2", "--n", "1..2"], "n range must start at 2 or above, got 1"),
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "-5"],
+     "argument --cap: must be a positive integer, got -5"),
+])
+def test_usage_errors_found_after_parsing_honor_json(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {"kind": "error", "version": __version__, "error": "usage", "message": message}
+    assert out == to_json(json.loads(out)) + "\n"
+    assert err == ""
 
 
 def test_sweep_json_validates_and_matches(capsys):

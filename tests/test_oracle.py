@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grepunit import oracle
@@ -475,6 +475,21 @@ def test_pseudo_frobenius_disagreement_survives_optimized_mode():
     assert "RouteDisagreementError: pseudo-Frobenius routes disagree: [13, 19] vs [6, 19]" in proc.stderr
 
 
+@pytest.mark.parametrize("gens", [(1000, 1001), (1000, 1001, 1013), (3000, 3001, 3007)])
+def test_pseudo_frobenius_holds_one_route_at_a_time(gens):
+    # each route, read out included, is done before the next starts, so
+    # the peak stays near four masks of the sieve's width beyond the
+    # invariants' own
+    inv = oracle.basic_invariants(sg(*gens))
+    tracemalloc.start()
+    try:
+        oracle.pseudo_frobenius(inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * inv.sieve.bound / 8
+
+
 def test_minimal_generators_drop_redundant():
     assert oracle.minimal_generators(sg(3, 8, 11, 14)) == [3, 8]
     assert oracle.minimal_generators(sg(40, 43, 52, 79)) == [40, 43, 52, 79]
@@ -563,3 +578,81 @@ def test_gap_count_matches_gap_list(gens):
     gaps = [x for x in range(sv.bound + 1) if not sv.mask >> x & 1]
     assert inv.genus == len(gaps)
     assert inv.frobenius == (max(gaps) if gaps else -1)
+
+
+@pytest.mark.parametrize("gens, message", [
+    ((), "empty generating set"),
+    ((0, 3), "generators must be positive: (0, 3)"),
+    ((3, -2), "generators must be positive: (3, -2)"),
+    ((3, 0), "generators must be positive: (3, 0)"),
+    ((5, 3), "generators must be ascending and distinct: (5, 3)"),
+    ((3, 3, 5), "generators must be ascending and distinct: (3, 3, 5)"),
+    ((4, 6), "gcd(4, 6) = 2, must be 1 for the complement to be finite"),
+])
+def test_generator_checks_keep_their_messages(gens, message):
+    with pytest.raises(NotNumericalSemigroupError) as exc_info:
+        oracle.GenericSemigroup(gens)
+    assert str(exc_info.value) == message
+
+
+def test_the_natural_numbers_have_no_gap():
+    inv = oracle.basic_invariants(sg(1))
+    assert (inv.frobenius, inv.genus, inv.n_below) == (-1, 0, 0)
+    assert oracle.pseudo_frobenius(inv) == [-1]
+
+
+@pytest.mark.parametrize(
+    "gens, flipped, note",
+    [
+        # a member above F cleared: the sieve's own F is that member
+        ((7, 8, 10), lambda sv: 25, "Frobenius routes disagree: 19 vs 25"),
+        ((7, 8, 10), lambda sv: sv.bound, "Frobenius routes disagree: 19 vs 36"),
+        ((1,), lambda sv: 1, "Frobenius routes disagree: -1 vs 1"),
+        ((3000, 3001, 3007), lambda sv: 1299001, "Frobenius routes disagree: 1298995 vs 1299001"),
+        # the bit at F set: the sieve's F is the next gap down, if any
+        ((7, 8, 10), lambda sv: 19, "Frobenius routes disagree: 19 vs 13"),
+        ((2, 3), lambda sv: 1, "Frobenius routes disagree: 1 vs -1"),
+        ((3000, 3001, 3007), lambda sv: 1298995, "Frobenius routes disagree: 1298995 vs 1295995"),
+        # a bit past the sieve bound
+        ((7, 8, 10), lambda sv: sv.bound + 3, "Frobenius routes disagree: 19 vs 39"),
+        # F kept, the gap 1 made a member
+        ((7, 8, 10), lambda sv: 1, "genus routes disagree: 11 vs 10"),
+        ((1000, 1001), lambda sv: 1, "genus routes disagree: 499500 vs 499499"),
+    ],
+)
+def test_planted_sieve_fault_names_both_routes(monkeypatch, gens, flipped, note):
+    # m = 3000 takes both window routes, m = 1000 the Apéry windows only
+    assert 3000 >= oracle.SIEVE_WINDOW_MIN > 1000 >= oracle.APERY_WINDOW_MIN
+    real = oracle.sieve
+
+    def planted(s, bound, cap=oracle.DEFAULT_SIEVE_CAP):
+        sv = real(s, bound, cap)
+        return sv._replace(mask=sv.mask ^ 1 << flipped(sv))
+
+    monkeypatch.setattr(oracle, "sieve", planted)
+    with pytest.raises(RouteDisagreementError) as exc_info:
+        oracle.basic_invariants(sg(*gens))
+    assert str(exc_info.value) == note
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 80), min_size=1, max_size=5),
+    st.lists(st.integers(300, 2400), min_size=2, max_size=4),  # the window routes
+))
+@example([1])
+@example([2000, 2001, 2003])
+def test_n_below_counts_the_members_below_the_frobenius_number(gens):
+    assume(math.gcd(*gens) == 1)
+    inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(gens))
+    # the count read off the sieve's bits below F, as it once was
+    assert inv.n_below == (inv.sieve.mask & ((1 << max(inv.frobenius, 0)) - 1)).bit_count()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**23), max_size=8, unique=True))
+@example([])
+@example([0, oracle._PEEL_BITS - 1, oracle._PEEL_BITS, 2**23])
+def test_sparse_set_bits_agree_with_the_formatted_ones(bits):
+    mask = sum(1 << k for k in bits)
+    assert oracle._set_bits(mask, sparse=True) == oracle._set_bits(mask) == sorted(bits)

@@ -200,6 +200,15 @@ def test_run_checks_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_shared_inputs_are_slotted():
+    assert not hasattr(verify._Shared(validate(3, 3, 4), Caps()), "__dict__")
+
+
+def test_agreeing_routes_report_the_closed_object():
+    rows = run_checks(validate(3, 3, 4), ("frobenius", "genus", "apery", "pf", "type", "wilf", "recursive"))
+    assert all(r.status == STATUS_MATCH and r.oracle is r.closed for r in rows)
+
+
 def test_apery_check_reports_digests():
     row = run_checks(validate(3, 3, 4), ("apery",))[0]
     assert row.status == STATUS_MATCH
