@@ -6,10 +6,10 @@ metadata confined to a header object (JSON) or header line (text).
 The three JSON documents (report, verify/sweep rows, error) go through
 one writer, `to_json`: two-space indent, ASCII-only with `\\uXXXX`
 escapes, and ints beyond 2**53 written as decimal strings.  Verify and
-sweep rows, all of one shape, are laid out by one template per check and
-status, built on first use from the `VerifyOutcome` fields with those two
-written in; an int within 2**53 goes in as it is, and every other value
-comes from `to_json`, once when both value slots hold one object.
+sweep rows, all of one shape, are laid out by a fixed row template built
+from the `VerifyOutcome` fields; an int within 2**53 goes in as it is,
+and every other value comes from `to_json`, once when both value slots
+hold one object.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ EXIT_USAGE = 64
 FORMATS = ("json", "csv", "text")
 CSV_COLUMNS = ("a", "b", "n", "check", "closed", "oracle", "status")
 JSON_SAFE_MAX = 2**53
+# One row of the document's "rows" list as `to_json` lays it out, with a
+# %s slot for each field's value, in `VerifyOutcome` field order
+ROW_TEMPLATE = "{\n" + ",\n".join(f"      {_escape(k)}: %s" for k in VerifyOutcome._fields) + "\n    }"
 
 
 class Parser(argparse.ArgumentParser):
@@ -183,11 +186,11 @@ def render_report(report: InvariantReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def row_template(check, status) -> str:
-    """One row of the "rows" list as `to_json` lays it out, with the check
-    and status written in and a %s slot for each other field, in field order."""
-    fixed = {"check": to_json(check).replace("%", "%%"), "status": to_json(status).replace("%", "%%")}
-    return "{\n" + ",\n".join(f"      {_escape(k)}: {fixed.get(k, '%s')}" for k in VerifyOutcome._fields) + "\n    }"
+def _cell(value):
+    """A row value as `to_json` writes it, or an int within 2**53 for %s to write."""
+    if type(value) is int and -JSON_SAFE_MAX <= value <= JSON_SAFE_MAX:
+        return value
+    return to_json(value, "      ")
 
 
 def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) -> str:
@@ -195,21 +198,12 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) ->
     if fmt == "json":
         # the header's object, left open: its closing "\n}" is cut off
         head = to_json({"kind": kind, "version": __version__, **header})[:-2]
-        templates, texts, safe = {}, [], JSON_SAFE_MAX
-        for a, b, n, check, closed, oracle, status, note in rows:
-            key = check, status
-            template = templates.get(key) or templates.setdefault(key, row_template(*key))
-            # an int within 2**53 goes in as it is, for %s to write, and one
-            # object in both value slots is written once
-            if not (type(a) is type(b) is type(n) is int and -safe <= min(a, b, n) and max(a, b, n) <= safe):
-                a, b, n = to_json(a), to_json(b), to_json(n)
-            text = closed if type(closed) is int and -safe <= closed <= safe else to_json(closed, "      ")
-            if oracle is closed:
-                oracle = text
-            elif not (type(oracle) is int and -safe <= oracle <= safe):
-                oracle = to_json(oracle, "      ")
-            texts.append(template % (a, b, n, text, oracle, to_json(note)))
-        body = ",\n    ".join(texts)
+        # one object in both value slots is written once
+        body = ",\n    ".join([
+            ROW_TEMPLATE % (_cell(a), _cell(b), _cell(n), to_json(check), (text := _cell(closed)),
+                            text if oracle is closed else _cell(oracle), to_json(status), to_json(note))
+            for a, b, n, check, closed, oracle, status, note in rows
+        ])
         body = f"[\n    {body}\n  ]" if rows else "[]"
         return f'{head},\n  "rows": {body},\n  "summary": {to_json(summary, "  ")}\n}}\n'
     if fmt == "csv":
@@ -243,8 +237,7 @@ def emit(text: str, out_path: Optional[str]) -> None:
 
 def render_failure(args, error_kind: str, exc: Exception | str) -> None:
     """Errors honor --format too: JSON consumers get a structured object.
-    As text, a usage error found after parsing goes through the
-    subcommand's parser, which prints its usage and exits."""
+    A text usage error goes through the subcommand's parser, which exits."""
     if getattr(args, "format", "text") == "json":
         doc = {
             "kind": "error",

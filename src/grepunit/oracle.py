@@ -125,48 +125,35 @@ def _mask_of(values: list[int], top: int) -> int:
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _LEAF_BITS = 2048  # pieces this wide or narrower are formatted whole
-# pieces of a sparse mask this wide or narrower are peeled: with 4 to 7 bits set,
-# peeling takes a quarter of the halving's time up to 10**6 bits and ties at 6 * 10**7
-_PEEL_BITS = 1 << 22
 
 
-def _set_bits(mask: int, sparse: bool = False) -> list[int]:
+def _set_bits(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative mask, ascending.
 
     Binary formatting costs a character per bit, so the mask is halved
     until each piece is at most _LEAF_BITS wide, and only those pieces
     are formatted; a zero half is dropped, and a low half loses its
     leading zeros.  A sparse mask then costs about its set bits times
-    the log of its length, not its length.  A `sparse` mask, of a few
-    bits, is halved only to _PEEL_BITS, and each piece then loses its
-    set bits one at a time from the top, a pass over the piece per bit.
+    the log of its length, not its length.
     """
     out = []
-    leaf = _PEEL_BITS if sparse else _LEAF_BITS
     pieces = [(mask, 0)]  # (piece, position of its bit 0); low halves on top
     while pieces:
         piece, base = pieces.pop()
         width = piece.bit_length()
-        if width > leaf:
+        if width > _LEAF_BITS:
             half = width >> 1
             pieces.append((piece >> half, base + half))  # holds the top bit
             low = piece & ((1 << half) - 1)
             if low:
                 pieces.append((low, base))
-        elif sparse:
-            peeled = []
-            while piece:
-                top = piece.bit_length() - 1
-                peeled.append(base + top)
-                piece ^= 1 << top
-            out += reversed(peeled)
-        else:
-            digits = format(piece, "b")
-            top = base + width - 1
-            i = digits.rfind("1")
-            while i >= 0:
-                out.append(top - i)
-                i = digits.rfind("1", 0, i)
+            continue
+        digits = format(piece, "b")
+        top = base + width - 1
+        i = digits.rfind("1")
+        while i >= 0:
+            out.append(top - i)
+            i = digits.rfind("1", 0, i)
     return out
 
 
@@ -437,7 +424,7 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     definition on the membership mask alone: x not in S with x + g in S for
     every generator g (adding a generator at a time reaches every nonzero
     member).  The routes are compared as masks, the definition's shifted
-    up by m, and only the agreed mask is read out as numbers.
+    up by m; the Apéry route's is read out first, to hold fewer masks.
     """
     sg = inv.semigroup
     m = sg.multiplicity
@@ -447,7 +434,7 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
         covered |= ap >> g
     maximal = ap ^ (ap & covered)
     del covered  # the first route's work is dropped before the second route's starts
-    pf = [w - m for w in _set_bits(maximal, sparse=True)]
+    pf = [w - m for w in _set_bits(maximal)]
     candidates = s >> m  # x with x + m a member, then x + g for each other g
     for g in sg.gens[1:]:
         candidates &= s >> g

@@ -210,8 +210,8 @@ row_headers = st.dictionaries(
 @example("verify", {}, [
     VerifyOutcome(1, 2, 3, "wilf", {"wilf": True, "type_bound": 1}, {"type_bound": True, "wilf": True}, "match"),
 ])
-# "%" in the note and in the check, which is written into the template
-# (a status outside STATUS_ORDER has no summary count)
+# "%" in the note and in the check (a status outside STATUS_ORDER has no
+# summary count, so the status keeps to the known ones)
 @example("sweep", {}, [
     VerifyOutcome(1, 2, 3, "%s 100%", None, None, "mismatch", "Ap\u00e9ry 10% %s %(a)s %d"),
     VerifyOutcome(1, 2, 3, "%s 100%", 5, 5, "match", "%"),
@@ -231,13 +231,6 @@ def test_row_template_matches_the_generic_writer(kind, header, rows):
         "summary": {s: sum(r.status == s for r in rows) for s in STATUS_ORDER},
     }
     assert render_rows(kind, header, rows, "json") == reference_json(doc) + "\n"
-
-
-def test_row_template_keeps_percent_signs_in_check_and_status():
-    text = cli.row_template("%s 100%", "50%d") % (1, 2, 3, "[]", "null", '"%"')
-    assert json.loads(text) == {
-        "a": 1, "b": 2, "n": 3, "check": "%s 100%", "closed": [], "oracle": None, "status": "50%d", "note": "%",
-    }
 
 
 def test_cli_never_passes_an_indent():

@@ -647,12 +647,3 @@ def test_n_below_counts_the_members_below_the_frobenius_number(gens):
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(gens))
     # the count read off the sieve's bits below F, as it once was
     assert inv.n_below == (inv.sieve.mask & ((1 << max(inv.frobenius, 0)) - 1)).bit_count()
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 2**23), max_size=8, unique=True))
-@example([])
-@example([0, oracle._PEEL_BITS - 1, oracle._PEEL_BITS, 2**23])
-def test_sparse_set_bits_agree_with_the_formatted_ones(bits):
-    mask = sum(1 << k for k in bits)
-    assert oracle._set_bits(mask, sparse=True) == oracle._set_bits(mask) == sorted(bits)
