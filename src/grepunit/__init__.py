@@ -35,14 +35,13 @@ from .errors import (
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
-from .verify import CHECK_NAMES, Caps, SweepSpec, VerifyOutcome, run_checks, sweep
+from .verify import CHECK_NAMES, SweepSpec, VerifyOutcome, run_checks, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_NAMES",
     "CapacityError",
-    "Caps",
     "GrepunitError",
     "GrepunitParams",
     "InvalidBaseError",

@@ -25,13 +25,13 @@ from . import __version__
 from .arith import validate
 from .closed_form import InvariantReport, invariant_report
 from .errors import CapacityError, InvalidParametersError, RouteDisagreementError
+from .oracle import DEFAULT_SIEVE_CAP
 from .verify import (
     CHECK_NAMES,
     STATUS_MATCH,
     STATUS_MISMATCH,
     STATUS_ORDER,
     STATUS_SKIPPED_CAPACITY,
-    Caps,
     SweepSpec,
     VerifyOutcome,
     oracle_report,
@@ -55,10 +55,26 @@ JSON_SAFE_MAX = 2**53
 ROW_TEMPLATE = "{\n" + ",\n".join(f"      {_escape(k)}: %s" for k in VerifyOutcome._fields) + "\n    }"
 
 
+class JsonUsageError(Exception):
+    """A usage error under `--format json`, which `main` writes as a document."""
+
+
 class Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 64."""
+    """argparse parser whose usage errors exit with code 64, or raise
+    JsonUsageError when the arguments it parsed ask for `--format json`."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)  # a subcommand's own only
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        fmt = None  # as the parse takes it: the last --format, maybe abbreviated or with "="
+        for arg, following in zip(self.argv, [*self.argv[1:], None]):
+            option, eq, value = arg.partition("=")
+            if len(option) > 2 and "--format".startswith(option):
+                fmt = value if eq else following
+        if fmt == "json":
+            raise JsonUsageError(message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -193,8 +209,7 @@ def _cell(value):
     return to_json(value, "      ")
 
 
-def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], fmt: str) -> str:
-    summary = summarize(rows)
+def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], summary: dict, fmt: str) -> str:
     if fmt == "json":
         # the header's object, left open: its closing "\n}" is cut off
         head = to_json({"kind": kind, "version": __version__, **header})[:-2]
@@ -235,10 +250,9 @@ def emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def render_failure(args, error_kind: str, exc: Exception | str) -> None:
-    """Errors honor --format too: JSON consumers get a structured object.
-    A text usage error goes through the subcommand's parser, which exits."""
-    if getattr(args, "format", "text") == "json":
+def render_failure(fmt: str, error_kind: str, exc: Exception) -> None:
+    """Errors honor --format too: JSON consumers get a structured object."""
+    if fmt == "json":
         doc = {
             "kind": "error",
             "version": __version__,
@@ -246,22 +260,14 @@ def render_failure(args, error_kind: str, exc: Exception | str) -> None:
             "message": str(exc),
         }
         sys.stdout.write(to_json(doc) + "\n")
-    elif error_kind == "usage":
-        args.parser.error(str(exc))
     else:
         print(f"error: {exc}", file=sys.stderr)
-
-
-def make_caps(args) -> Caps:
-    if args.cap is None:
-        return Caps()
-    return Caps(apery=args.cap, sieve=args.cap)
 
 
 def cmd_report(args) -> int:
     params = validate(args.a, args.b, args.n)
     if args.source == "oracle":
-        report = oracle_report(params, make_caps(args))
+        report = oracle_report(params, args.cap)
     else:
         report = invariant_report(params)
     emit(render_report(report, args.format), args.out)
@@ -270,14 +276,12 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     params = validate(args.a, args.b, args.n)
-    rows = run_checks(params, args.checks, make_caps(args))
-    emit(render_rows("verify", {"params": params._asdict()}, rows, args.format), args.out)
-    statuses = {r.status for r in rows}
-    if STATUS_MISMATCH in statuses:
+    rows = run_checks(params, args.checks, args.cap)
+    summary = summarize(rows)
+    emit(render_rows("verify", {"params": params._asdict()}, rows, summary, args.format), args.out)
+    if summary[STATUS_MISMATCH]:
         return EXIT_MISMATCH
-    if STATUS_SKIPPED_CAPACITY in statuses:
-        return EXIT_CAPACITY
-    return EXIT_OK
+    return EXIT_CAPACITY if summary[STATUS_SKIPPED_CAPACITY] else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -290,10 +294,9 @@ def cmd_sweep(args) -> int:
             skip_invalid=not args.no_skip_invalid,
         )
     except ValueError as exc:
-        render_failure(args, "usage", exc)
-        return EXIT_USAGE
-    rows, summary = sweep(spec, make_caps(args))
-    emit(render_rows("sweep", {"spec": spec._asdict()}, rows, args.format), args.out)
+        args.parser.error(str(exc))
+    rows, summary = sweep(spec, args.cap)
+    emit(render_rows("sweep", {"spec": spec._asdict()}, rows, summary, args.format), args.out)
     if args.out or args.format == "csv":
         stream = sys.stdout if args.out else sys.stderr
         print(summary_line(summary), file=stream)
@@ -306,8 +309,9 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, func):
-        p.add_argument("--cap", type=int, default=None, metavar="N",
-                       help="capacity limit for Apéry enumeration and sieves")
+        p.add_argument("--cap", type=int, default=DEFAULT_SIEVE_CAP, metavar="N",
+                       help="capacity cap on the oracle's sieve, which bounds every check "
+                            "(default: %(default)s)")
         p.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
         p.add_argument("--format", choices=FORMATS, default="text")
         p.set_defaults(func=func, parser=p)  # the subcommand's parser reports its usage errors
@@ -341,23 +345,25 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.cap is not None and args.cap < 1:
-        render_failure(args, "usage", f"argument --cap: must be a positive integer, got {args.cap}")
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
+        if args.cap < 1:
+            args.parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
         return args.func(args)
+    except JsonUsageError as exc:
+        render_failure("json", "usage", exc)
+        return EXIT_USAGE
     except InvalidParametersError as exc:
-        render_failure(args, "invalid-params", exc)
+        render_failure(args.format, "invalid-params", exc)
         return EXIT_INVALID
     except CapacityError as exc:
-        render_failure(args, "capacity", exc)
+        render_failure(args.format, "capacity", exc)
         return EXIT_CAPACITY
     except RouteDisagreementError as exc:
-        render_failure(args, "route-disagreement", exc)
+        render_failure(args.format, "route-disagreement", exc)
         return EXIT_MISMATCH
     except OSError as exc:
-        render_failure(args, "io", exc)
+        render_failure(args.format, "io", exc)
         return EXIT_IO
 
 

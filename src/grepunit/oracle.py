@@ -369,18 +369,21 @@ def basic_invariants(
     the Apéry sum.  The sieve bound max(Apéry) + max generator covers
     every gap and every Apéry element, so both computations are complete.
     A multiplicity whose sieve cannot fit (`check_multiplicity`) is
-    refused before the Apéry set is built, and the windows give way to
-    the round-robin's O(m) memory once the sieve is sure to be refused.
+    refused before the Apéry set is built, and a sieve bound that the
+    windows prove too large as soon as they give up.
     """
     m = sg.multiplicity
     check_multiplicity(m, sieve_cap)
-    # the sieve admits bounds up to sieve_cap - 1
-    windows = apery_windows(sg, sieve_cap - 1 - max(sg.gens)) if m >= APERY_WINDOW_MIN else None
-    if windows:
+    if m >= APERY_WINDOW_MIN:
+        top_cap = sieve_cap - 1 - max(sg.gens)  # the sieve admits bounds up to sieve_cap - 1
+        windows = apery_windows(sg, top_cap)
+        if windows is None:  # an Apéry element lies in window top_cap // m + 1 or above
+            least = (top_cap // m + 1) * m + max(sg.gens)
+            raise CapacityError(f"sieve bound of at least {least} exceeds capacity cap {sieve_cap}")
         j, last = windows[-1]
         top = j * m + last.bit_length() - 1
         g_apery = sum(j * w.bit_count() for j, w in windows)
-    else:  # also when the windows gave up: the sieve is then refused at its exact bound
+    else:
         ap = apery_set(sg, m)
         top = max(ap)
         num = 2 * sum(ap) - m * (m - 1)
@@ -406,7 +409,7 @@ def basic_invariants(
     # predecessor in their class is a gap.  (Here and in pseudo_frobenius
     # x & ~y is written x ^ (x & y): ~ of a big int costs two's-complement
     # passes.)
-    ap_mask = _join(windows, m) if windows else _mask_of(ap, top)
+    ap_mask = _join(windows, m) if m >= APERY_WINDOW_MIN else _mask_of(ap, top)
     if ap_mask != s ^ (s & (s << m)):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 

@@ -34,13 +34,6 @@ STATUS_ORDER = (
 )
 
 
-class Caps(NamedTuple):
-    """Capacity limits threaded through every check."""
-
-    apery: int = closed_form.DEFAULT_APERY_CAP
-    sieve: int = oracle.DEFAULT_SIEVE_CAP
-
-
 class VerifyOutcome(NamedTuple):
     """Result of one check on one parameter triple.
 
@@ -89,9 +82,11 @@ def _digest(values: list[int]) -> dict:
     }
 
 
-def oracle_report(params: GrepunitParams, caps: Caps = Caps()) -> closed_form.InvariantReport:
+def oracle_report(
+    params: GrepunitParams, cap: int = oracle.DEFAULT_SIEVE_CAP
+) -> closed_form.InvariantReport:
     """Invariant report assembled entirely from the brute-force engine."""
-    bundle = oracle_bundle(params, caps.sieve)
+    bundle = oracle_bundle(params, cap)
     inv = bundle.invariants
     pf = bundle.pseudo_frobenius
     wilf = oracle.wilf_data(inv, pf)
@@ -116,16 +111,16 @@ class _Unsupported(Exception):
 class _Shared:
     """The inputs that the checks of one triple share: the oracle bundle,
     the closed-form Apéry set of a_1 and the digest of its sorted values,
-    each built once, on first use, the set only after the oracle's
-    multiplicity refusal, its own cap and the bundle have passed.  A slot
+    each built once, on first use, the set only after the bundle has
+    passed, so under the cap that bounds the bundle's sieve.  A slot
     keeps the value, or the refusal or route disagreement its build
     raised, without the traceback whose frames hold the tables built so
     far; no build is kept, so no cycle keeps a triple's tables alive."""
 
-    __slots__ = ("params", "caps", "_bundle", "_apery", "_digest")
+    __slots__ = ("params", "cap", "_bundle", "_apery", "_digest")
 
-    def __init__(self, params: GrepunitParams, caps: Caps):
-        self.params, self.caps = params, caps
+    def __init__(self, params: GrepunitParams, cap: int):
+        self.params, self.cap = params, cap
         self._bundle = self._apery = self._digest = None
 
     def _memo(self, slot: str, build):
@@ -141,7 +136,7 @@ class _Shared:
         return kept
 
     def bundle(self) -> OracleBundle:
-        return self._memo("_bundle", lambda: oracle_bundle(self.params, self.caps.sieve))
+        return self._memo("_bundle", lambda: oracle_bundle(self.params, self.cap))
 
     def apery(self) -> closed_form.AperySet:
         return self._memo("_apery", self._build_apery)
@@ -150,11 +145,8 @@ class _Shared:
         return self._memo("_digest", lambda: _digest(sorted(self.apery()[0])))
 
     def _build_apery(self) -> closed_form.AperySet:
-        m, caps = self.params.multiplicity, self.caps
-        oracle.check_multiplicity(m, caps.sieve)
-        closed_form.check_cap(m, caps.apery)
         self.bundle()
-        return closed_form.apery_set(self.params, cap=caps.apery)
+        return closed_form.apery_set(self.params, cap=self.cap)
 
 
 def _equal(closed, brute) -> tuple:
@@ -243,7 +235,7 @@ def _recursive(params, shared):
         shared.bundle()  # a refused or disagreeing oracle fails this row too
         raise _Unsupported(prev)
     direct = shared.apery()
-    lifted = closed_form.apery_set_recursive(prev, params, cap=shared.caps.apery)
+    lifted = closed_form.apery_set_recursive(prev, params, cap=shared.cap)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
     same = direct == lifted
@@ -258,11 +250,9 @@ def _affine(params, shared):
 
 
 # Check name -> f(params, shared) -> (closed, oracle, matched).  A check
-# raises CapacityError or _Unsupported to be skipped, and asks for its
-# shared inputs in the order of the notes' precedence: the oracle's
-# multiplicity refusal, then the closed-form Apéry cap (`shared.apery()`
-# tests both, then asks for the bundle itself), then the oracle bundle,
-# then its own skipped-unsupported.
+# raises CapacityError or _Unsupported to be skipped, and asks for the
+# oracle bundle (`shared.apery()` asks for it first) before it raises
+# its own skipped-unsupported, so a refused bundle's note wins.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,
@@ -295,10 +285,10 @@ def _row(params: GrepunitParams, check: str, shared: _Shared) -> VerifyOutcome:
 
 
 def run_checks(
-    params: GrepunitParams, checks: Iterable[str] = CHECK_NAMES, caps: Caps = Caps()
+    params: GrepunitParams, checks: Iterable[str] = CHECK_NAMES, cap: int = oracle.DEFAULT_SIEVE_CAP
 ) -> list[VerifyOutcome]:
-    """One row per check, in the given order, for one valid triple."""
-    shared = _Shared(params, caps)
+    """One row per check, in the given order, for one valid triple; `cap` bounds every check."""
+    shared = _Shared(params, cap)
     return [_row(params, check, shared) for check in checks]
 
 
@@ -342,7 +332,7 @@ def summarize(rows: Iterable[VerifyOutcome]) -> dict:
     return counts
 
 
-def sweep(spec: SweepSpec, caps: Caps = Caps()) -> tuple[list[VerifyOutcome], dict]:
+def sweep(spec: SweepSpec, cap: int = oracle.DEFAULT_SIEVE_CAP) -> tuple[list[VerifyOutcome], dict]:
     """Run every requested check over the grid.  Invalid triples become
     one `invalid-params` row each when skip_invalid, and raise otherwise."""
     rows: list[VerifyOutcome] = []
@@ -354,5 +344,5 @@ def sweep(spec: SweepSpec, caps: Caps = Caps()) -> tuple[list[VerifyOutcome], di
                 raise
             rows.append(VerifyOutcome(a, b, n, "validate", None, None, STATUS_INVALID, str(exc)))
             continue
-        rows.extend(run_checks(params, spec.checks, caps))
+        rows.extend(run_checks(params, spec.checks, cap))
     return rows, summarize(rows)

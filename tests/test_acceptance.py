@@ -18,7 +18,7 @@ from grepunit.errors import (
     InvalidParametersError,
     NotCoprimeError,
 )
-from grepunit.verify import Caps, oracle_bundle, run_checks
+from grepunit.verify import oracle_bundle, run_checks
 
 GRID_CHECKS = ("frobenius", "genus", "apery", "pf", "type")
 
@@ -125,7 +125,7 @@ def test_criterion_07_pseudo_frobenius_structure(announce, grid):
             assert sorted(x - p.multiplicity for x in alphas) == pf
             step = p.b**p.n - 1 - p.a
             assert all(x - y == step for x, y in zip(alphas, alphas[1:]))
-            bundle = oracle_bundle(p, Caps().sieve)
+            bundle = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)
             assert list(bundle.pseudo_frobenius) == pf
 
 
@@ -145,7 +145,7 @@ def test_criterion_08_lattice_minors(announce, grid):
 def test_criterion_09_wilf_and_type_bounds(announce, grid):
     with announce(9, "Wilf bound and the sharper type bound"):
         for p in grid:
-            bundle = oracle_bundle(p, Caps().sieve)
+            bundle = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)
             wilf = oracle.wilf_data(bundle.invariants, bundle.pseudo_frobenius)  # what the `wilf` check reads
             assert wilf.wilf_ok, f"(a={p.a}, b={p.b}, n={p.n})"
             assert wilf.type_bound_ok, f"(a={p.a}, b={p.b}, n={p.n})"
@@ -162,7 +162,7 @@ def test_criterion_10_two_generator_sanity(announce, grid):
             g_expected = (g1 - 1) * (g2 - 1) // 2
             assert closed_form.frobenius(p) == f_expected
             assert closed_form.genus(p) == g_expected
-            inv = oracle_bundle(p, Caps().sieve).invariants
+            inv = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP).invariants
             assert inv.frobenius == f_expected
             assert inv.genus == g_expected
 

@@ -26,11 +26,12 @@ from grepunit.cli import (
     to_json,
 )
 from grepunit.errors import RouteDisagreementError
-from grepunit.verify import CHECK_NAMES, STATUS_ORDER, VerifyOutcome
+from grepunit.verify import CHECK_NAMES, STATUS_ORDER, VerifyOutcome, summarize
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
 OUTCOMES_SCHEMA = json.loads((SCHEMA_DIR / "outcomes.json").read_text())
+ERROR_SCHEMA = json.loads((SCHEMA_DIR / "error.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -230,7 +231,7 @@ def test_row_template_matches_the_generic_writer(kind, header, rows):
         "rows": [r._asdict() for r in rows],
         "summary": {s: sum(r.status == s for r in rows) for s in STATUS_ORDER},
     }
-    assert render_rows(kind, header, rows, "json") == reference_json(doc) + "\n"
+    assert render_rows(kind, header, rows, summarize(rows), "json") == reference_json(doc) + "\n"
 
 
 def test_cli_never_passes_an_indent():
@@ -319,6 +320,46 @@ def test_usage_errors_found_after_parsing_honor_json(capsys, argv, message):
     assert err == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope", "--format", "json"],
+     "argument --checks: unknown checks: nope (known: " + ", ".join(CHECK_NAMES) + ")"),
+    (["sweep", "--a", "3..1", "--b", "2", "--n", "2", "--format", "json"],
+     "argument --a: empty range '3..1'"),
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--format=json", "--cap", "x"],
+     "argument --cap: invalid int value: 'x'"),
+    # found by the top-level parser, after the subcommand's parse
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--format", "json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_found_while_parsing_honor_json(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == to_json({"kind": "error", "version": __version__, "error": "usage", "message": message}) + "\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("x", "argument --cap: invalid int value: 'x'"),  # found while parsing
+    ("0", "argument --cap: must be a positive integer, got 0"),  # found after it
+])
+@pytest.mark.parametrize("formats, fmt", [
+    (["--form", "json"], "json"),  # an abbreviation argparse accepts
+    (["--f=text", "--fo=json"], "json"),
+    (["--format", "json", "--format", "text"], "text"),  # the parse keeps the last
+])
+def test_usage_errors_take_the_format_as_the_parse_does(capsys, formats, fmt, cap, message):
+    argv = ["verify", "-a", "1", "-b", "2", "-n", "3", *formats, "--cap", cap]
+    if fmt == "json":
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["message"], err) == (EXIT_USAGE, message, "")
+        return
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"grepunit verify: error: {message}\n")
+
+
 def test_sweep_json_validates_and_matches(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--format", "json"
@@ -383,6 +424,17 @@ def test_module_entry_point():
     assert "grepunit" in proc.stdout
 
 
+def test_module_usage_error_honors_json():
+    # main() reads sys.argv itself here, as the installed command does, and
+    # the top-level parser, which finds the unrecognized argument, is given none
+    argv = ["verify", "-a", "1", "-b", "2", "-n", "3", "--format", "json", "--bogus"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grepunit", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (EXIT_USAGE, "usage", "")
+
+
 def test_startup_imports_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
     # the CLI's set-up.  -S keeps site hooks from loading them first.
@@ -441,6 +493,27 @@ def test_report_route_disagreement_json_is_structured(capsys, monkeypatch):
         "error": "route-disagreement",
         "message": "Apéry sum inconsistent with an integer genus",
     }) + "\n"
+
+
+@pytest.mark.parametrize("argv, error, code", [
+    # usage errors found while parsing and after it
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"], "usage", EXIT_USAGE),
+    (["sweep", "--a", "1", "--b", "1..2", "--n", "2"], "usage", EXIT_USAGE),
+    (["report", "-a", "5", "-b", "2", "-n", "4"], "invalid-params", EXIT_INVALID),
+    (["report", "-a", "3", "-b", "3", "-n", "4", "--source", "oracle", "--cap", "100"],
+     "capacity", EXIT_CAPACITY),
+    (["report", "-a", "1", "-b", "3", "-n", "3", "--source", "oracle"],
+     "route-disagreement", EXIT_MISMATCH),
+    (["report", "-a", "1", "-b", "2", "-n", "3", "--out", "/nonexistent-dir/report.txt"],
+     "io", EXIT_IO),
+])
+def test_error_documents_validate(capsys, monkeypatch, argv, error, code):
+    if error == "route-disagreement":
+        drop_residue_class_one(monkeypatch)
+    got, out, err = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert (got, doc["error"], err) == (code, error, "")
 
 
 def test_report_route_disagreement_text_goes_to_stderr(capsys, monkeypatch):

@@ -153,14 +153,33 @@ def test_window_route_drops_the_pairs_no_later_step_reads():
 
 
 def test_refusal_after_the_windows_give_up_names_the_exact_bound(monkeypatch):
-    # the windows stop near the cap; the round-robin then finds the
-    # bound 999999 + 1001 that the sieve refuses
+    # the windows give up at window 499 (top_cap = 498998), so some Apéry
+    # element is at least 499000 and the sieve bound at least 499000 + 1001;
+    # the refusal names that bound without the round-robin's exact one
     moduli = []
     real = oracle.apery_set
     monkeypatch.setattr(oracle, "apery_set", lambda s, q: moduli.append(q) or real(s, q))
-    with pytest.raises(CapacityError, match="^sieve bound 1001000 exceeds capacity cap 500000$"):
+    with pytest.raises(
+        CapacityError, match="^sieve bound of at least 500001 exceeds capacity cap 500000$"
+    ):
         oracle.basic_invariants(sg(1000, 1001), sieve_cap=500_000)
-    assert moduli == [1000]
+    assert moduli == []
+
+
+def test_refusal_after_the_windows_give_up_holds_a_few_windows():
+    # Ap(<m, m + 1>, m) tops out at (m - 1)(m + 1); the windows give up at
+    # window 2, past top_cap = 3m - 1 - (m + 1).  The peak measured 4.3
+    # windows of m bits (534 kB), where a table of all m residue classes
+    # takes 40 MB
+    m = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^sieve bound of at least 3000001 exceeds"):
+            oracle.basic_invariants(oracle.GenericSemigroup((m, m + 1)), sieve_cap=3 * m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (m // 8)  # eight windows of m bits, m // 8 bytes each
 
 
 def test_route_disagreement_raises(monkeypatch):

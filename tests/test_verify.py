@@ -23,7 +23,6 @@ from grepunit.verify import (
     STATUS_MISMATCH,
     STATUS_SKIPPED_CAPACITY,
     STATUS_SKIPPED_UNSUPPORTED,
-    Caps,
     SweepSpec,
     oracle_bundle,
     oracle_report,
@@ -77,39 +76,56 @@ def test_recursive_skips_when_smaller_triple_invalid():
     assert "invalid" in row.note
 
 
+def test_one_cap_bounds_the_apery_checks():
+    # (3, 3, 4): the bundle sieves up to max Ap + max gen = 470, so the
+    # Apéry checks, like every other, run from a cap of 471 on
+    checks = ("apery", "homogeneous", "recursive")
+    rows = run_checks(validate(3, 3, 4), checks, 470)
+    assert [(r.status, r.note) for r in rows] == [
+        (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 470")
+    ] * 3
+    assert [r.status for r in run_checks(validate(3, 3, 4), checks, 471)] == [STATUS_MATCH] * 3
+
+
 def test_homogeneous_skips_beyond_apery_cap(monkeypatch):
+    # the one cap bounds the homogeneous check: the oracle's level pass
+    # never runs on a bundle that the cap refuses
     def refuse(inv):
         pytest.fail("the oracle pass ran before the cap was checked")
 
     monkeypatch.setattr(oracle, "apery_levels", refuse)
-    row = run_checks(validate(3, 3, 4), ("homogeneous",), Caps(apery=10))[0]
+    row = run_checks(validate(3, 3, 4), ("homogeneous",), 470)[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
-    assert row.note == "40 coefficient tuples exceed cap 10"
+    assert row.note == "sieve bound 470 exceeds capacity cap 470"
 
 
 @pytest.mark.parametrize("check", ["apery", "homogeneous", "recursive"])
 def test_apery_cap_refuses_before_the_oracle_bundle(monkeypatch, check):
+    # the cap that bounds the Apéry checks refuses the bundle before its
+    # membership table or its pseudo-Frobenius pass is built
     def unreachable(*args):
-        pytest.fail("the oracle bundle was built before the Apéry cap was checked")
+        pytest.fail("the oracle bundle was built before the cap was checked")
 
-    monkeypatch.setattr(verify, "oracle_bundle", unreachable)
-    row = run_checks(validate(3, 3, 4), (check,), Caps(apery=10))[0]
+    for name in ("_closure", "_window_closure", "pseudo_frobenius"):
+        monkeypatch.setattr(oracle, name, unreachable)
+    row = run_checks(validate(3, 3, 4), (check,), 100)[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
-    assert row.note == "40 coefficient tuples exceed cap 10"
+    assert row.note == "sieve bound 470 exceeds capacity cap 100"
 
 
 @pytest.mark.parametrize("check", CHECK_NAMES)
 def test_sieve_refusal_keeps_precedence_over_the_apery_cap(check):
     # 2m = 80 cells over the sieve cap is refused before the Apéry stage,
-    # on every row, the Apéry cap's and the unsupported checks' included
-    row = run_checks(validate(3, 3, 4), (check,), Caps(apery=10, sieve=79))[0]
+    # on every row, the closed-form Apéry checks' and the unsupported ones' included
+    row = run_checks(validate(3, 3, 4), (check,), 79)[0]
     assert row.status == STATUS_SKIPPED_CAPACITY
     assert row.note.startswith("multiplicity 40 needs a sieve bound of at least 79")
 
 
 def test_unsupported_recursive_row_is_not_refused_on_the_apery_cap():
-    # n = 2 has no smaller triple, whatever the cap
-    row = run_checks(validate(3, 3, 2), ("recursive",), Caps(apery=1))[0]
+    # n = 2 has no smaller triple, even at the least cap that the bundle
+    # of <4, 7> (sieve bound max Ap + max gen = 28) fits
+    row = run_checks(validate(3, 3, 2), ("recursive",), 29)[0]
     assert row.status == STATUS_SKIPPED_UNSUPPORTED
 
 
@@ -179,7 +195,7 @@ def test_refused_bundle_spares_the_closed_apery_build(monkeypatch):
         pytest.fail("the closed-form Apéry set was built for a refused oracle bundle")
 
     monkeypatch.setattr(closed_form, "apery_set", unbuilt)
-    rows = run_checks(validate(3, 3, 4), ("apery", "homogeneous", "recursive"), Caps(sieve=100))
+    rows = run_checks(validate(3, 3, 4), ("apery", "homogeneous", "recursive"), 100)
     assert {(r.status, r.note) for r in rows} == {
         (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
     }
@@ -193,15 +209,15 @@ def test_run_checks_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for caps in (Caps(), Caps(sieve=100), Caps(apery=10)):
-            run_checks(p, caps=caps)
-            assert gc.collect() == 0, caps
+        for cap in (oracle.DEFAULT_SIEVE_CAP, 100, 10):
+            run_checks(p, cap=cap)
+            assert gc.collect() == 0, cap
     finally:
         gc.enable()
 
 
 def test_shared_inputs_are_slotted():
-    assert not hasattr(verify._Shared(validate(3, 3, 4), Caps()), "__dict__")
+    assert not hasattr(verify._Shared(validate(3, 3, 4), oracle.DEFAULT_SIEVE_CAP), "__dict__")
 
 
 def test_agreeing_routes_report_the_closed_object():
@@ -261,10 +277,10 @@ def test_records_refuse_attribute_assignment():
     records = (
         p, inv.semigroup, inv.sieve, inv, oracle.wilf_data(inv, bundle.pseudo_frobenius),
         closed_form.lattice_matrix(p), invariant_report(p),
-        Caps(), run_checks(p, ("frobenius",))[0], bundle,
+        run_checks(p, ("frobenius",))[0], bundle,
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2)),
     )
-    assert len({type(r) for r in records}) == 11
+    assert len({type(r) for r in records}) == 10
     for record in records:
         name = record._fields[0]
         with pytest.raises(AttributeError):
@@ -381,7 +397,7 @@ def test_wilf_row_of_a_refused_oracle_builds_no_wilf_data(monkeypatch):
         raise AssertionError("Wilf data built")
 
     monkeypatch.setattr(oracle, "wilf_data", unreachable)
-    row = run_checks(validate(3, 3, 4), ("wilf",), Caps(sieve=100))[0]
+    row = run_checks(validate(3, 3, 4), ("wilf",), 100)[0]
     assert (row.status, row.note) == (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
 
 
@@ -396,7 +412,7 @@ def test_refused_oracle_is_built_once_for_all_checks(monkeypatch):
         return real(sg, q)
 
     monkeypatch.setattr(oracle, "apery_set", counting)
-    rows = run_checks(validate(3, 3, 4), caps=Caps(sieve=100))
+    rows = run_checks(validate(3, 3, 4), cap=100)
     assert [r.check for r in rows] == list(CHECK_NAMES)
     assert {(r.status, r.note) for r in rows} == {
         (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
@@ -425,7 +441,7 @@ def test_affine_needs_no_sieve_beyond_the_bundle():
     p = validate(3, 3, 4)
     inv = oracle_bundle(p, 1000).invariants
     assert inv.sieve.bound < 1000 < p.b * (inv.frobenius + 2 * p.multiplicity)
-    assert run_checks(p, ("affine",), Caps(sieve=1000))[0].status == STATUS_MATCH
+    assert run_checks(p, ("affine",), 1000)[0].status == STATUS_MATCH
 
 
 def test_wilf_row_reads_the_closed_report(monkeypatch):
