@@ -15,10 +15,12 @@ hold one object.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
-from json.encoder import encode_basestring_ascii as _escape
+try:  # the C escaper that json.encoder re-exports, without the json package
+    from _json import encode_basestring_ascii as _escape
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from . import __version__
@@ -178,6 +180,7 @@ def render_report(report: InvariantReport, fmt: str) -> str:
     if fmt == "json":
         return to_json(doc) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         columns = [k for k in doc if k not in ("kind", "version", "params")]
@@ -222,6 +225,7 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], summary: dic
         body = f"[\n    {body}\n  ]" if rows else "[]"
         return f'{head},\n  "rows": {body},\n  "summary": {to_json(summary, "  ")}\n}}\n'
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

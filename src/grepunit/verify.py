@@ -12,7 +12,6 @@ in ascending (b, n, a) order so output is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
@@ -73,6 +72,7 @@ def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
 
 def _digest(values: list[int]) -> dict:
     """Compact deterministic fingerprint of a (possibly large) value list."""
+    import hashlib  # loads OpenSSL, which only the Apéry rows need
     joined = ",".join(map(str, values)).encode()
     return {
         "size": len(values),

@@ -435,19 +435,68 @@ def test_module_usage_error_honors_json():
     assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (EXIT_USAGE, "usage", "")
 
 
-def test_startup_imports_no_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
-    # the CLI's set-up.  -S keeps site hooks from loading them first.
-    script = (
-        "import sys, grepunit.cli; grepunit.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+def run_fresh(script):
+    """Stdout of `script` in a fresh `-S` interpreter, where no site hook
+    or test dependency has imported anything first."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_startup_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
+    # the CLI's set-up.  hashlib loads OpenSSL, and csv and the json package
+    # are only needed by the runs that use them.
+    script = (
+        "import sys, grepunit.cli; grepunit.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib', 'csv', 'json'} & set(sys.modules)))"
+    )
+    assert run_fresh(script) == "[]\n"
+
+
+def test_deferred_imports_load_only_in_runs_that_use_them():
+    # the acceptance sweep's checks and a JSON report load none of them; an
+    # Apéry row's digest loads hashlib, and a CSV document csv
+    script = """
+import contextlib, io, sys
+from grepunit.cli import main
+def loaded(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(list(argv))
+    print(sorted({'_hashlib', 'hashlib', 'csv', 'json'} & set(sys.modules)))
+loaded('verify', '-a', '1', '-b', '7', '-n', '6', '--checks', 'frobenius,genus,pf')
+loaded('report', '-a', '1', '-b', '2', '-n', '3', '--format', 'json')
+loaded('verify', '-a', '1', '-b', '7', '-n', '6', '--checks', 'apery')
+loaded('report', '-a', '1', '-b', '2', '-n', '3', '--format', 'csv')
+"""
+    assert run_fresh(script).splitlines() == [
+        "[]", "[]", "['_hashlib', 'hashlib']", "['_hashlib', 'csv', 'hashlib']"
+    ]
+
+
+def test_escaper_falls_back_to_json_encoder():
+    # without the C module, json.encoder's pure-Python escaper must write
+    # the same text; with it, cli uses the very function json.encoder does
+    assert cli._escape is json.encoder.encode_basestring_ascii
+    text = "caf\u00e9 \" \\ \n \x01"
+    argv = ("report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--format", "json")
+    script = f"""
+import contextlib, hashlib, io, sys
+sys.modules["_json"] = None
+from grepunit import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main({list(argv)!r})
+print(cli._escape.__module__)
+print(cli.to_json({text!r}))
+print(hashlib.sha256(buf.getvalue().encode()).hexdigest(), code)
+"""
+    module, escaped, pin = run_fresh(script).splitlines()
+    digest, code = DOCUMENT_PINS[argv]
+    assert (module, escaped, pin) == ("json.encoder", to_json(text), f"{digest} {code}")
 
 
 def test_console_reports_branch_example(capsys):
