@@ -200,19 +200,19 @@ def apery_set_recursive(
     return _residue_system(params.multiplicity, values, lengths)
 
 
-def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:
+def affine_closure_ok(params: GrepunitParams, members: int, f: int) -> bool:
     """Whether the semigroup is closed under x -> b*x + shift, where
     shift = a - (b**n - 1).
 
     Checks the exact generator identity b*a_j + shift == a_{j+1} for
     j = 1..n-1, then maps every nonzero member of the semigroup at once.
-    `members` is an independent membership table of 0..F, F the
-    Frobenius number: members[y] is 1 iff y is a member, and every y > F
-    is a member.  A member whose image is negative fails the check.  The
-    image of an integer above top = (F - shift) // b exceeds F, so only
-    the members s0..top (s0 the least positive s with a non-negative
-    image) need a look-up: their flags are compared with the strided
-    slice of their images' flags, as two ints.
+    `members` is an independent membership mask, f the Frobenius number:
+    bit y of it is set iff y is a member, for y in 0..f, and every y > f
+    is a member, whatever its bit.  A member whose image is negative fails
+    the check.  The image of an integer above top = (f - shift) // b
+    exceeds f, so only the members s0..top (s0 the least positive s with
+    a non-negative image) need a look-up: their digits are compared with
+    the strided slice of their images' digits, as two ints.
     """
     b = params.b
     shift = params.a - (b**params.n - 1)
@@ -220,17 +220,20 @@ def affine_closure_ok(params: GrepunitParams, members: bytes) -> bool:
     for j in range(1, params.n):
         if b * gens[j - 1] + shift != gens[j]:
             return False
-    f = len(members) - 1
     s0 = max(1, -(shift // b))  # least s > 0 whose image is not negative
-    top = (f - shift) // b  # members above top map above F
-    table = members + b"\x01" * (max(s0, top) - f)  # every y > F is a member
-    if table.find(1, 1, s0) >= 0:
+    top = (f - shift) // b  # members above top map above f
+    end = max(s0, top, f) + 1
+    # digit end - y of the table stands for y: bit y of members up to f, a
+    # 1 above it, and the sentinel bit end keeps the leading zeros
+    table = format(members & (1 << f + 1) - 1 | (2 << end) - (1 << f + 1), "b")
+    if table.find("1", end - s0 + 1, end) >= 0:
         return False  # a member whose image is negative
     if top < s0:
         return True
-    src = table[s0 : top + 1]
-    img = table[b * s0 + shift : b * top + shift + 1 : b]
-    return int.from_bytes(src, "little") & ~int.from_bytes(img, "little") == 0
+    # both read from top down, so each source's digit faces its image's
+    src = table[end - top : end - s0 + 1]
+    img = table[end - b * top - shift : end - b * s0 - shift + 1 : b]
+    return int(src, 2) & ~int(img, 2) == 0
 
 
 class LatticeMatrix(NamedTuple):

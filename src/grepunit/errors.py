@@ -55,8 +55,7 @@ class UnsupportedDimensionError(GrepunitError):
 
 
 class CapacityError(GrepunitError):
-    """An Apéry enumeration or a membership sieve exceeded its configured
-    cap, or a membership lookup went beyond its sieve's bound."""
+    """An Apéry enumeration or a membership sieve exceeded its configured cap."""
 
 
 class RouteDisagreementError(GrepunitError, AssertionError):

@@ -3,18 +3,17 @@
 Everything here works from first definitions, on big-integer bitsets:
 membership by shift-or passes over the whole bound or, for the
 multiplicity m from SIEVE_WINDOW_MIN on, about m bits at a time, each
-window read from those below it (also handed out as one byte per
-integer), the Frobenius number confirmed by one shift of that mask
-and the genus by one popcount, Apéry sets as residue-indexed tables
-(entry r is the element congruent to r) by Böcker-Lipták round-robin
-over residue classes, or, for m from APERY_WINDOW_MIN on, one m-bit
-window of values at a time, the next taken from a bitmask of the
-windows ahead, with the genus by Selmer's formula, pseudo-Frobenius
-numbers by the generator test on the Apéry set cross-checked, mask
-against mask, with the raw definition on the membership mask, and the
-factorization lengths of the Apéry elements by whole-mask length
-levels, each level the one below shifted by the generators and kept
-within the Apéry mask.
+window read from those below it, the Frobenius number confirmed by one
+shift of that mask and the genus by one popcount, Apéry sets as
+residue-indexed tables (entry r is the element congruent to r) by
+Böcker-Lipták round-robin over residue classes, or, for m from
+APERY_WINDOW_MIN on, one m-bit window of values at a time, the next
+taken from a bitmask of the windows ahead, with the genus by Selmer's
+formula, pseudo-Frobenius numbers by the generator test on the Apéry
+set cross-checked, mask against mask, with the raw definition on the
+membership mask, and the factorization lengths of the Apéry elements
+by whole-mask length levels, each level the one below shifted by the
+generators and kept within the Apéry mask.
 Nothing in this module consults the closed formulas it is used to check,
 nor the Apéry sets they build; the sieve's windows share no code with
 the Apéry set's.
@@ -123,7 +122,6 @@ def _mask_of(values: list[int], top: int) -> int:
     return int.from_bytes(packed, "little")
 
 
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _LEAF_BITS = 2048  # pieces this wide or narrower are formatted whole
 
 
@@ -157,29 +155,6 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-class MembershipSieve(NamedTuple):
-    """Exact membership table for 0..bound.
-
-    A table asked for beyond the bound raises instead of guessing, so a
-    check that outgrows its sieve fails loudly.
-    """
-
-    bound: int
-    mask: int  # bit x set iff x is a member
-
-    def __repr__(self):  # no mask: past 4300 decimal digits it cannot be printed
-        return f"MembershipSieve(bound={self.bound})"
-
-    def flags(self, upto: int) -> bytes:
-        """One byte per integer of 0..upto: 1 for a member, 0 for a gap."""
-        if upto > self.bound:
-            raise CapacityError(f"membership table to {upto} beyond sieve bound {self.bound}")
-        # a sentinel bit above upto keeps the leading zeros; it is the
-        # first digit, which the reversing slice drops
-        digits = format((self.mask & ((1 << (upto + 1)) - 1)) | 1 << (upto + 1), "b")
-        return digits[:0:-1].encode().translate(_DIGIT_BYTES)
-
-
 # Multiplicity from which `sieve` builds its mask in windows rather than
 # by shift-or passes over the whole bound: the crossover, measured with
 # the two builds alone at the sieve bound basic_invariants uses, on the
@@ -192,18 +167,18 @@ class MembershipSieve(NamedTuple):
 SIEVE_WINDOW_MIN = 2000
 
 
-def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> MembershipSieve:
-    """Membership table of 0..bound: the closure of {0} under adding
-    generators, in windows of about m bits (`_window_closure`) when the
-    multiplicity m is at least SIEVE_WINDOW_MIN and by shift-or passes
-    over the whole bound (`_closure`) below that.  Both checks come before
-    either build."""
+def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> int:
+    """Membership mask of 0..bound, bit x set iff x is a member: the
+    closure of {0} under adding generators, in windows of about m bits
+    (`_window_closure`) when the multiplicity m is at least
+    SIEVE_WINDOW_MIN and by shift-or passes over the whole bound
+    (`_closure`) below that.  Both checks come before either build."""
     if bound < max(sg.gens):
         raise ValueError(f"sieve bound {bound} below largest generator {max(sg.gens)}")
     if bound + 1 > cap:
         raise CapacityError(f"sieve bound {bound} exceeds capacity cap {cap}")
     build = _window_closure if sg.multiplicity >= SIEVE_WINDOW_MIN else _closure
-    return MembershipSieve(bound, build(sg.gens, bound))
+    return build(sg.gens, bound)
 
 
 def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
@@ -336,13 +311,15 @@ class SemigroupInvariants(NamedTuple):
 
     semigroup: GenericSemigroup
     apery_mask: int  # bit w set iff w is in Ap(S, m)
-    sieve: MembershipSieve
+    sieve: int  # bit x set iff x is a member, for x up to the sieve bound
     frobenius: int
     genus: int
     n_below: int  # members strictly below the Frobenius number
 
-    def __repr__(self):  # no mask, as for MembershipSieve
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items() if k != "apery_mask")
+    def __repr__(self):  # no masks: past 4300 decimal digits an int cannot be printed
+        fields = ", ".join(
+            f"{k}={v!r}" for k, v in self._asdict().items() if k not in ("apery_mask", "sieve")
+        )
         return f"SemigroupInvariants({fields})"
 
 
@@ -391,10 +368,9 @@ def basic_invariants(
             raise RouteDisagreementError("Apéry sum inconsistent with an integer genus")
         g_apery = num // (2 * m)
     bound = top + max(sg.gens)
-    sv = sieve(sg, bound, cap=sieve_cap)
+    s = sieve(sg, bound, cap=sieve_cap)
     f_apery = top - m
 
-    s = sv.mask
     # F is the sieve's too iff bits F..bound read a gap, then members only
     # (members from bit 0 when F = -1); the sieve's own F is for the note
     tail = s >> f_apery if f_apery >= 0 else s << 1
@@ -414,7 +390,7 @@ def basic_invariants(
         raise RouteDisagreementError("Apéry set disagrees with the sieve")
 
     # 0..F holds F + 1 integers, g of them gaps
-    return SemigroupInvariants(sg, ap_mask, sv, f_apery, g_sieve, f_apery + 1 - g_sieve)
+    return SemigroupInvariants(sg, ap_mask, s, f_apery, g_sieve, f_apery + 1 - g_sieve)
 
 
 def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
@@ -427,11 +403,12 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     definition on the membership mask alone: x not in S with x + g in S for
     every generator g (adding a generator at a time reaches every nonzero
     member).  The routes are compared as masks, the definition's shifted
-    up by m; the Apéry route's is read out first, to hold fewer masks.
+    up by m, and any difference raises with both lists; the Apéry route's
+    is read out first, to hold fewer masks.
     """
     sg = inv.semigroup
     m = sg.multiplicity
-    ap, s = inv.apery_mask, inv.sieve.mask
+    ap, s = inv.apery_mask, inv.sieve
     covered = 0  # w with w + g in Ap(S, m) for some generator g != m
     for g in sg.gens[1:]:
         covered |= ap >> g
@@ -447,10 +424,8 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     if all(s & 1 << (g - 1) for g in sg.gens):
         candidates |= 1 << (m - 1)
     if maximal != candidates:
-        # the definition's gaps are those up to F, where the Apéry route's lie
-        direct = [w - m for w in _set_bits(candidates) if w - m <= inv.frobenius]
-        if pf != direct:
-            raise RouteDisagreementError(f"pseudo-Frobenius routes disagree: {pf} vs {direct}")
+        direct = [w - m for w in _set_bits(candidates)]
+        raise RouteDisagreementError(f"pseudo-Frobenius routes disagree: {pf} vs {direct}")
     return pf
 
 

@@ -243,9 +243,9 @@ def _recursive(params, shared):
 
 
 def _affine(params, shared):
-    # the bundle's sieve covers 0..F; every integer above F is a member
+    # the bundle's sieve covers 0..F, and the check reads no bit above F
     inv = shared.bundle().invariants
-    result = closed_form.affine_closure_ok(params, inv.sieve.flags(inv.frobenius))
+    result = closed_form.affine_closure_ok(params, inv.sieve, inv.frobenius)
     return True, result, result
 
 

@@ -284,10 +284,10 @@ def test_homogeneous_compares_the_values_too(monkeypatch):
     assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
 
 
-def member_table(params) -> bytes:
-    """Oracle membership flags of 0..F for the semigroup of params."""
+def member_table(params) -> tuple[int, int]:
+    """Oracle membership mask and Frobenius number F for the semigroup of params."""
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(params.generators()))
-    return inv.sieve.flags(inv.frobenius)
+    return inv.sieve, inv.frobenius
 
 
 def test_run_checks_builds_the_closed_apery_set_once(monkeypatch):
@@ -312,32 +312,53 @@ def test_every_exported_name_resolves():
 
 
 def test_affine_closure_golden():
-    assert closed_form.affine_closure_ok(GOLDEN, member_table(GOLDEN))
+    assert closed_form.affine_closure_ok(GOLDEN, *member_table(GOLDEN))
     p = validate(5, 2, 2)
-    assert closed_form.affine_closure_ok(p, member_table(p))
+    assert closed_form.affine_closure_ok(p, *member_table(p))
+
+
+def test_affine_closure_reads_no_bit_above_the_frobenius_number():
+    # every integer above F counts as a member, whatever its bit says
+    members, f = member_table(GOLDEN)
+    assert f == 351 and members >> f + 1 & 1
+    assert closed_form.affine_closure_ok(GOLDEN, members ^ 1 << f + 1, f)
+    assert closed_form.affine_closure_ok(GOLDEN, members & (1 << f + 1) - 1, f)
+
+
+def test_affine_closure_fails_when_the_image_of_top_is_missing():
+    # <7, 10, 16>, shift -4: top = (F - shift) // b = 16, the last source
+    # compared, is a member with image 28 just below F = 29
+    p = validate(3, 2, 3)
+    members, f = member_table(p)
+    assert (f, (f + 4) // 2) == (29, 16)
+    assert members >> 16 & 1 and members >> 28 & 1
+    assert not closed_form.affine_closure_ok(p, members ^ 1 << 28, f)
 
 
 def test_affine_closure_fails_when_an_image_is_missing():
     # shift = 3 - 80: the image of a_1 = 40 is a_2 = 43, a member below F = 351
-    members = bytearray(member_table(GOLDEN))
-    assert members[40] == members[43] == 1
-    members[43] = 0
-    assert not closed_form.affine_closure_ok(GOLDEN, bytes(members))
+    members, f = member_table(GOLDEN)
+    assert members >> 40 & 1 and members >> 43 & 1
+    assert not closed_form.affine_closure_ok(GOLDEN, members ^ 1 << 43, f)
 
 
 def test_affine_closure_fails_on_a_member_with_negative_image():
     # 3*25 - 77 < 0: were 25 a member, its image could not be
-    members = bytearray(member_table(GOLDEN))
-    members[25] = 1
-    assert not closed_form.affine_closure_ok(GOLDEN, bytes(members))
+    members, f = member_table(GOLDEN)
+    assert not closed_form.affine_closure_ok(GOLDEN, members | 1 << 25, f)
+    # <7, 10, 16>, shift -4: 2 is the least s whose image is not negative
+    p = validate(3, 2, 3)
+    members, f = member_table(p)
+    assert closed_form.affine_closure_ok(p, members, f)
+    assert not closed_form.affine_closure_ok(p, members | 1 << 1, f)
 
 
 def test_affine_closure_fails_on_a_broken_generator_identity():
     p = validate(5, 2, 2)  # <3, 8>, shift 2: 2*3 + 2 == 8
-    members = member_table(p)
+    members, f = member_table(p)
     fake = lambda gens: SimpleNamespace(a=p.a, b=p.b, n=p.n, generators=lambda: gens)
-    assert closed_form.affine_closure_ok(fake([3, 8]), members)
-    assert not closed_form.affine_closure_ok(fake([3, 9]), members)
+    assert closed_form.affine_closure_ok(fake([3, 8]), members, f)
+    assert not closed_form.affine_closure_ok(fake([3, 9]), members, f)
 
 
 def test_lattice_matrix_golden():

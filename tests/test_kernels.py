@@ -194,9 +194,9 @@ def check_against_references(gens, dfs_limit: int) -> None:
     m = sg.multiplicity
     inv = oracle.basic_invariants(sg)
 
-    members = dp_members(sg.gens, inv.sieve.bound)
+    members = dp_members(sg.gens, inv.sieve.bit_length() - 1)
     # the DP bytes, largest integer first, read as a binary numeral
-    assert inv.sieve.mask == int(members[::-1].translate(BINARY_DIGITS), 2)
+    assert inv.sieve == int(members[::-1].translate(BINARY_DIGITS), 2)
 
     apery = relaxation_apery(sg.gens, m)
     assert inv.apery_mask == sum(1 << w for w in apery)
@@ -233,9 +233,9 @@ def test_whole_mask_kernels_agree_on_the_acceptance_grid(grid):
 
         f, sv = inv.frobenius, inv.sieve
         expected = loop_affine_ok(
-            params, f + 2 * params.multiplicity, lambda y: y > f or y >= 0 and sv.mask >> y & 1
+            params, f + 2 * params.multiplicity, lambda y: y > f or y >= 0 and sv >> y & 1
         )
-        assert closed_form.affine_closure_ok(params, sv.flags(f)) == expected
+        assert closed_form.affine_closure_ok(params, sv, f) == expected
 
 
 @st.composite
@@ -284,8 +284,10 @@ def test_affine_check_agrees_with_the_loop_on_random_semigroups(values, a, b, n)
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(values))
     f, sv = inv.frobenius, inv.sieve
     shift = a - (b**n - 1)
-    expected = loop_affine_ok(params, f + 1 + abs(shift), lambda y: y > f or y >= 0 and sv.mask >> y & 1)
-    assert closed_form.affine_closure_ok(params, sv.flags(f)) == expected
+    expected = loop_affine_ok(params, f + 1 + abs(shift), lambda y: y > f or y >= 0 and sv >> y & 1)
+    assert closed_form.affine_closure_ok(params, sv, f) == expected
+    # bits above f are not read: every integer there counts as a member
+    assert closed_form.affine_closure_ok(params, sv & (1 << f + 1) - 1, f) == expected
 
 
 def digit_positions(mask: int) -> list[int]:
@@ -419,7 +421,7 @@ def check_sieve_routes(gens, bound: int) -> None:
     expected = int(dp_members(gens, bound)[::-1].translate(BINARY_DIGITS), 2)
     assert oracle._window_closure(gens, bound) == oracle._closure(gens, bound) == expected
     if gens[0] >= oracle.SIEVE_WINDOW_MIN and math.gcd(*gens) == 1:
-        assert oracle.sieve(oracle.GenericSemigroup(tuple(gens)), bound).mask == expected
+        assert oracle.sieve(oracle.GenericSemigroup(tuple(gens)), bound) == expected
 
 
 @st.composite
@@ -466,7 +468,7 @@ def test_windowed_sieve_on_edge_cases(gens, bound):
 def test_windowed_sieve_on_the_family():
     # (a, b, n) = (1, 7, 6): m = 19608, the sieve bound basic_invariants uses
     gens = validate(1, 7, 6).generators()
-    bound = oracle.basic_invariants(oracle.GenericSemigroup(tuple(gens))).sieve.bound
+    bound = oracle.basic_invariants(oracle.GenericSemigroup(tuple(gens))).sieve.bit_length() - 1
     check_sieve_routes(gens, bound)
 
 

@@ -50,24 +50,23 @@ def test_replace_validates_again():
 def test_repr_leaves_out_the_masks():
     # masks of about 10**6 bits, past the 4300-digit limit of int -> str
     inv = oracle.basic_invariants(oracle.GenericSemigroup((1000, 1001)))
-    assert inv.sieve.mask.bit_length() > 10**6
-    assert repr(inv.sieve) == f"MembershipSieve(bound={inv.sieve.bound})"
+    assert inv.sieve.bit_length() > 10**6
     assert repr(inv).startswith(
-        "SemigroupInvariants(semigroup=GenericSemigroup(gens=(1000, 1001)), sieve=MembershipSieve(bound="
+        "SemigroupInvariants(semigroup=GenericSemigroup(gens=(1000, 1001)), frobenius="
     )
     assert "apery_mask" not in repr(inv)
+    assert "sieve=" not in repr(inv)
 
 
 def test_sieve_membership():
     s = oracle.sieve(sg(3, 8), 20)
     members = {0, 3, 6, 8, 9, 11, 12, 14, 15, 16, 17, 18, 19, 20}
     for x in range(21):
-        assert (s.mask >> x & 1) == (x in members)
-    with pytest.raises(CapacityError):
-        s.flags(31)
+        assert (s >> x & 1) == (x in members)
+    assert s.bit_length() == 21  # nothing above the bound
     s = oracle.sieve(sg(7, 8, 10), 30)
-    assert not s.mask >> 19 & 1
-    assert s.mask >> 20 & 1
+    assert not s >> 19 & 1
+    assert s >> 20 & 1
 
 
 def test_sieve_cap():
@@ -284,7 +283,7 @@ def test_window_route_never_reads_the_sieve():
     assert len(route) == 2
     for node in (n for fn in route for n in ast.walk(fn)):
         name = getattr(node, "id", None) or getattr(node, "attr", None)
-        assert name not in ("sieve", "_closure", "_window_closure", "MembershipSieve"), ast.unparse(node)
+        assert name not in ("sieve", "_closure", "_window_closure"), ast.unparse(node)
 
 
 def test_windowed_sieve_never_reads_the_apery_route():
@@ -363,7 +362,7 @@ def test_windowed_sieve_peaks_below_the_closure():
     # window's pair, or ANDing the joined mask with a full-width one,
     # each takes the windows to about four masks, and both past the closure
     gens = (111111, 111112, 111122, 111222, 112222, 122222)
-    bound = oracle.basic_invariants(sg(*gens)).sieve.bound
+    bound = oracle.basic_invariants(sg(*gens)).sieve.bit_length() - 1
     peak = traced_peak(oracle._window_closure, gens, bound)
     assert peak < traced_peak(oracle._closure, gens, bound)
     assert peak < 3 * sys.getsizeof(oracle._window_closure(gens, bound))
@@ -462,13 +461,16 @@ def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
     [
         # the gap 13 made a member: 13 fails the definition and 6 (6 + 7 = 13, 14, 16) passes it
         ((7, 8, 10), 13, "[13, 19] vs [6, 19]"),
-        # 0 made a gap of <1> = N: -1 fails the definition
-        ((1,), 0, "[-1] vs []"),
+        # 0 made a gap of <1> = N: -1 fails the definition, and 0, above
+        # F = -1, passes it
+        ((1,), 0, "[-1] vs [0]"),
+        # the member 24 made a gap above F = 19: 24 passes the definition
+        ((7, 8, 10), 24, "[13, 19] vs [13, 19, 24]"),
     ],
 )
 def test_pseudo_frobenius_routes_disagree_on_a_flipped_sieve_bit(gens, planted, note):
     inv = oracle.basic_invariants(sg(*gens))
-    flipped = inv._replace(sieve=inv.sieve._replace(mask=inv.sieve.mask ^ 1 << planted))
+    flipped = inv._replace(sieve=inv.sieve ^ 1 << planted)
     with pytest.raises(RouteDisagreementError) as exc_info:
         oracle.pseudo_frobenius(flipped)
     assert str(exc_info.value) == f"pseudo-Frobenius routes disagree: {note}"
@@ -481,7 +483,7 @@ def test_pseudo_frobenius_disagreement_survives_optimized_mode():
 
         inv = oracle.basic_invariants(oracle.GenericSemigroup((7, 8, 10)))
         print(__debug__)
-        oracle.pseudo_frobenius(inv._replace(sieve=inv.sieve._replace(mask=inv.sieve.mask ^ 1 << 13)))
+        oracle.pseudo_frobenius(inv._replace(sieve=inv.sieve ^ 1 << 13))
         """
     )
     src = str(Path(oracle.__file__).resolve().parents[1])
@@ -506,7 +508,7 @@ def test_pseudo_frobenius_holds_one_route_at_a_time(gens):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.75 * inv.sieve.bound / 8
+    assert peak < 4.75 * (inv.sieve.bit_length() - 1) / 8
 
 
 def test_minimal_generators_drop_redundant():
@@ -578,15 +580,6 @@ def test_two_generator_identities(p, q):
     assert oracle.pseudo_frobenius(inv) == [p * q - p - q]
 
 
-def test_membership_flags():
-    sv = oracle.basic_invariants(sg(2, 3)).sieve  # gaps: 1
-    assert sv.flags(5) == bytes([1, 0, 1, 1, 1, 1])
-    assert sv.flags(0) == b"\x01"
-    assert sv.flags(-1) == b""
-    with pytest.raises(CapacityError):
-        sv.flags(sv.bound + 1)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(2, 60), min_size=2, max_size=4))
 def test_gap_count_matches_gap_list(gens):
@@ -594,7 +587,7 @@ def test_gap_count_matches_gap_list(gens):
         return
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(gens))
     sv = inv.sieve
-    gaps = [x for x in range(sv.bound + 1) if not sv.mask >> x & 1]
+    gaps = [x for x in range(sv.bit_length()) if not sv >> x & 1]
     assert inv.genus == len(gaps)
     assert inv.frobenius == (max(gaps) if gaps else -1)
 
@@ -624,19 +617,19 @@ def test_the_natural_numbers_have_no_gap():
     "gens, flipped, note",
     [
         # a member above F cleared: the sieve's own F is that member
-        ((7, 8, 10), lambda sv: 25, "Frobenius routes disagree: 19 vs 25"),
-        ((7, 8, 10), lambda sv: sv.bound, "Frobenius routes disagree: 19 vs 36"),
-        ((1,), lambda sv: 1, "Frobenius routes disagree: -1 vs 1"),
-        ((3000, 3001, 3007), lambda sv: 1299001, "Frobenius routes disagree: 1298995 vs 1299001"),
+        ((7, 8, 10), lambda bound: 25, "Frobenius routes disagree: 19 vs 25"),
+        ((7, 8, 10), lambda bound: bound, "Frobenius routes disagree: 19 vs 36"),
+        ((1,), lambda bound: 1, "Frobenius routes disagree: -1 vs 1"),
+        ((3000, 3001, 3007), lambda bound: 1299001, "Frobenius routes disagree: 1298995 vs 1299001"),
         # the bit at F set: the sieve's F is the next gap down, if any
-        ((7, 8, 10), lambda sv: 19, "Frobenius routes disagree: 19 vs 13"),
-        ((2, 3), lambda sv: 1, "Frobenius routes disagree: 1 vs -1"),
-        ((3000, 3001, 3007), lambda sv: 1298995, "Frobenius routes disagree: 1298995 vs 1295995"),
+        ((7, 8, 10), lambda bound: 19, "Frobenius routes disagree: 19 vs 13"),
+        ((2, 3), lambda bound: 1, "Frobenius routes disagree: 1 vs -1"),
+        ((3000, 3001, 3007), lambda bound: 1298995, "Frobenius routes disagree: 1298995 vs 1295995"),
         # a bit past the sieve bound
-        ((7, 8, 10), lambda sv: sv.bound + 3, "Frobenius routes disagree: 19 vs 39"),
+        ((7, 8, 10), lambda bound: bound + 3, "Frobenius routes disagree: 19 vs 39"),
         # F kept, the gap 1 made a member
-        ((7, 8, 10), lambda sv: 1, "genus routes disagree: 11 vs 10"),
-        ((1000, 1001), lambda sv: 1, "genus routes disagree: 499500 vs 499499"),
+        ((7, 8, 10), lambda bound: 1, "genus routes disagree: 11 vs 10"),
+        ((1000, 1001), lambda bound: 1, "genus routes disagree: 499500 vs 499499"),
     ],
 )
 def test_planted_sieve_fault_names_both_routes(monkeypatch, gens, flipped, note):
@@ -645,8 +638,7 @@ def test_planted_sieve_fault_names_both_routes(monkeypatch, gens, flipped, note)
     real = oracle.sieve
 
     def planted(s, bound, cap=oracle.DEFAULT_SIEVE_CAP):
-        sv = real(s, bound, cap)
-        return sv._replace(mask=sv.mask ^ 1 << flipped(sv))
+        return real(s, bound, cap) ^ 1 << flipped(bound)
 
     monkeypatch.setattr(oracle, "sieve", planted)
     with pytest.raises(RouteDisagreementError) as exc_info:
@@ -665,4 +657,4 @@ def test_n_below_counts_the_members_below_the_frobenius_number(gens):
     assume(math.gcd(*gens) == 1)
     inv = oracle.basic_invariants(oracle.GenericSemigroup.from_values(gens))
     # the count read off the sieve's bits below F, as it once was
-    assert inv.n_below == (inv.sieve.mask & ((1 << max(inv.frobenius, 0)) - 1)).bit_count()
+    assert inv.n_below == (inv.sieve & ((1 << max(inv.frobenius, 0)) - 1)).bit_count()
