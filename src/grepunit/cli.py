@@ -216,10 +216,16 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], summary: dic
     if fmt == "json":
         # the header's object, left open: its closing "\n}" is cut off
         head = to_json({"kind": kind, "version": __version__, **header})[:-2]
-        # one object in both value slots is written once
+        # one object in both value slots is written once, and each distinct
+        # check, status and note string once per document
+        escaped = {}
+        get, keep = escaped.get, escaped.setdefault
         body = ",\n    ".join([
-            ROW_TEMPLATE % (_cell(a), _cell(b), _cell(n), to_json(check), (text := _cell(closed)),
-                            text if oracle is closed else _cell(oracle), to_json(status), to_json(note))
+            ROW_TEMPLATE % (
+                _cell(a), _cell(b), _cell(n), get(check) or keep(check, _escape(check)),
+                (text := _cell(closed)), text if oracle is closed else _cell(oracle),
+                get(status) or keep(status, _escape(status)), get(note) or keep(note, _escape(note)),
+            )
             for a, b, n, check, closed, oracle, status, note in rows
         ])
         body = f"[\n    {body}\n  ]" if rows else "[]"

@@ -384,7 +384,9 @@ def basic_invariants(
     # Apéry vs sieve agreement: the set holds exactly the members whose
     # predecessor in their class is a gap.  (Here and in pseudo_frobenius
     # x & ~y is written x ^ (x & y): ~ of a big int costs two's-complement
-    # passes.)
+    # passes.)  The mask is built only past the sieve's cap check: the
+    # round-robin's is top bits wide, and a huge generator puts top far
+    # beyond the cap.
     ap_mask = _join(windows, m) if m >= APERY_WINDOW_MIN else _mask_of(ap, top)
     if ap_mask != s ^ (s & (s << m)):
         raise RouteDisagreementError("Apéry set disagrees with the sieve")

@@ -72,13 +72,17 @@ def oracle_bundle(params: GrepunitParams, sieve_cap: int) -> OracleBundle:
 
 def _digest(values: list[int]) -> dict:
     """Compact deterministic fingerprint of a (possibly large) value list."""
-    import hashlib  # loads OpenSSL, which only the Apéry rows need
+    import sys  # CPython's own SHA-256, named by version: hashlib would load OpenSSL
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # a build without it
+        from hashlib import sha256
     joined = ",".join(map(str, values)).encode()
     return {
         "size": len(values),
         "sum": sum(values),
         "max": max(values),
-        "sha256": hashlib.sha256(joined).hexdigest()[:16],
+        "sha256": sha256(joined).hexdigest()[:16],
     }
 
 
@@ -89,6 +93,7 @@ def oracle_report(
     bundle = oracle_bundle(params, cap)
     inv = bundle.invariants
     pf = bundle.pseudo_frobenius
+    m = inv.semigroup.multiplicity
     wilf = oracle.wilf_data(inv, pf)
     return closed_form.InvariantReport(
         params=params,
@@ -98,7 +103,7 @@ def oracle_report(
         genus=inv.genus,
         pseudo_frobenius=pf,
         type=len(pf),
-        apery_sum=sum(oracle._set_bits(inv.apery_mask)),
+        apery_sum=m * inv.genus + m * (m - 1) // 2,  # Selmer, on the genus checked two ways
         n_of_s=inv.n_below,
         wilf_ok=wilf.wilf_ok,
     )
@@ -115,7 +120,8 @@ class _Shared:
     passed, so under the cap that bounds the bundle's sieve.  A slot
     keeps the value, or the refusal or route disagreement its build
     raised, without the traceback whose frames hold the tables built so
-    far; no build is kept, so no cycle keeps a triple's tables alive."""
+    far; no build is kept, so no cycle keeps a triple's tables alive.  A
+    kept value is returned after one type test on its slot, without a call."""
 
     __slots__ = ("params", "cap", "_bundle", "_apery", "_digest")
 
@@ -136,12 +142,18 @@ class _Shared:
         return kept
 
     def bundle(self) -> OracleBundle:
+        if type(kept := self._bundle) is OracleBundle:
+            return kept
         return self._memo("_bundle", lambda: oracle_bundle(self.params, self.cap))
 
     def apery(self) -> closed_form.AperySet:
+        if type(kept := self._apery) is tuple:
+            return kept
         return self._memo("_apery", self._build_apery)
 
     def digest(self) -> dict:
+        if type(kept := self._digest) is dict:
+            return kept
         return self._memo("_digest", lambda: _digest(sorted(self.apery()[0])))
 
     def _build_apery(self) -> closed_form.AperySet:

@@ -458,8 +458,9 @@ def test_startup_imports_no_dataclasses():
 
 
 def test_deferred_imports_load_only_in_runs_that_use_them():
-    # the acceptance sweep's checks and a JSON report load none of them; an
-    # Apéry row's digest loads hashlib, and a CSV document csv
+    # the acceptance sweep's checks and a JSON report load none of them, nor
+    # does an Apéry row's digest, which hashes with CPython's own SHA-256;
+    # a CSV document loads csv
     script = """
 import contextlib, io, sys
 from grepunit.cli import main
@@ -473,8 +474,27 @@ loaded('verify', '-a', '1', '-b', '7', '-n', '6', '--checks', 'apery')
 loaded('report', '-a', '1', '-b', '2', '-n', '3', '--format', 'csv')
 """
     assert run_fresh(script).splitlines() == [
-        "[]", "[]", "['_hashlib', 'hashlib']", "['_hashlib', 'csv', 'hashlib']"
+        "[]", "[]", "[]", "['csv']"
     ]
+
+
+def test_digest_falls_back_to_hashlib():
+    # a build without CPython's own SHA-256 module hashes through hashlib,
+    # and the document keeps its bytes
+    argv = ("verify", "-a", "1", "-b", "10", "-n", "6", "--checks", "all", "--format", "json")
+    script = f"""
+import contextlib, io, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from grepunit.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main({list(argv)!r})
+print(sorted({{'_sha2', '_sha256', 'hashlib'}} & {{k for k, v in sys.modules.items() if v}}), code)
+sys.stdout.write(buf.getvalue())
+"""
+    loaded, out = run_fresh(script).split("\n", 1)
+    digest, code = DOCUMENT_PINS[argv]
+    assert (loaded, hashlib.sha256(out.encode()).hexdigest()) == (f"['hashlib'] {code}", digest)
 
 
 def test_escaper_falls_back_to_json_encoder():

@@ -181,6 +181,20 @@ def test_refusal_after_the_windows_give_up_holds_a_few_windows():
     assert peak < 8 * (m // 8)  # eight windows of m bits, m // 8 bytes each
 
 
+def test_round_robin_mask_waits_for_the_sieve_cap():
+    # Ap(<3, 2**40 + 1>, 3) tops out at 2 * (2**40 + 1), so the sieve bound
+    # 3 * (2**40 + 1) is refused; a mask of the Apéry set built before that
+    # refusal would take 256 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^sieve bound 3298534883331 exceeds capacity cap"):
+            oracle.basic_invariants(oracle.GenericSemigroup((3, 2**40 + 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_route_disagreement_raises(monkeypatch):
     real = oracle.apery_set
     monkeypatch.setattr(oracle, "apery_set", lambda sg, q: [v for v in real(sg, q) if v % q != 1])

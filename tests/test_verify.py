@@ -261,6 +261,16 @@ def test_oracle_report_agrees_with_closed_report():
         assert brute.wilf_ok == closed.wilf_ok
 
 
+def test_oracle_report_apery_sum_is_the_element_sum_of_the_mask(grid):
+    # Selmer's identity on the genus gives the sum of the Apéry mask's
+    # elements, on both Apéry routes: the round-robin's and the windows'
+    windowed = validate(1, 7, 4)  # m = 400
+    assert windowed.generators()[0] >= oracle.APERY_WINDOW_MIN
+    for p in [*grid, windowed]:
+        mask = oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP).invariants.apery_mask
+        assert oracle_report(p).apery_sum == sum(oracle._set_bits(mask))
+
+
 def test_oracle_report_builds_the_minimal_generators_once(monkeypatch):
     calls = []
     real = oracle.minimal_generators
