@@ -313,10 +313,15 @@ def cmd_sweep(args) -> int:
     return EXIT_MISMATCH if summary[STATUS_MISMATCH] else EXIT_OK
 
 
-def build_parser() -> Parser:
+def build_parser(command: Optional[str] = None) -> Parser:
+    """The CLI's parser.  Every subcommand is created with its name and help,
+    which are all that argparse shows of one it does not run; when `command`
+    names a subcommand, only that one's options are defined.  With no
+    argument, or any other value, every subcommand is built in full."""
     parser = Parser(prog="grepunit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("report", "verify", "sweep")
 
     def common(p, func):
         p.add_argument("--cap", type=int, default=DEFAULT_SIEVE_CAP, metavar="N",
@@ -327,36 +332,41 @@ def build_parser() -> Parser:
         p.set_defaults(func=func, parser=p)  # the subcommand's parser reports its usage errors
 
     rep = sub.add_parser("report", help="all invariants of one semigroup")
-    rep.add_argument("-a", type=int, required=True)
-    rep.add_argument("-b", type=int, required=True)
-    rep.add_argument("-n", type=int, required=True)
-    rep.add_argument("--source", choices=("closed", "oracle"), default="closed",
-                     help="compute via closed formulas (default) or brute force")
-    common(rep, cmd_report)
+    if every or command == "report":
+        rep.add_argument("-a", type=int, required=True)
+        rep.add_argument("-b", type=int, required=True)
+        rep.add_argument("-n", type=int, required=True)
+        rep.add_argument("--source", choices=("closed", "oracle"), default="closed",
+                         help="compute via closed formulas (default) or brute force")
+        common(rep, cmd_report)
 
     ver = sub.add_parser("verify", help="closed formulas vs oracle on one semigroup")
-    ver.add_argument("-a", type=int, required=True)
-    ver.add_argument("-b", type=int, required=True)
-    ver.add_argument("-n", type=int, required=True)
-    ver.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
-                     metavar="NAMES", help="comma-separated check names, or 'all'")
-    common(ver, cmd_verify)
+    if every or command == "verify":
+        ver.add_argument("-a", type=int, required=True)
+        ver.add_argument("-b", type=int, required=True)
+        ver.add_argument("-n", type=int, required=True)
+        ver.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
+                         metavar="NAMES", help="comma-separated check names, or 'all'")
+        common(ver, cmd_verify)
 
     swp = sub.add_parser("sweep", help="verify over an inclusive parameter grid")
-    swp.add_argument("--a", type=parse_range, required=True, metavar="LO..HI")
-    swp.add_argument("--b", type=parse_range, required=True, metavar="LO..HI")
-    swp.add_argument("--n", type=parse_range, required=True, metavar="LO..HI")
-    swp.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
-                     metavar="NAMES", help="comma-separated check names, or 'all'")
-    swp.add_argument("--no-skip-invalid", action="store_true",
-                     help="fail on invalid triples instead of recording them")
-    common(swp, cmd_sweep)
+    if every or command == "sweep":
+        swp.add_argument("--a", type=parse_range, required=True, metavar="LO..HI")
+        swp.add_argument("--b", type=parse_range, required=True, metavar="LO..HI")
+        swp.add_argument("--n", type=parse_range, required=True, metavar="LO..HI")
+        swp.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
+                         metavar="NAMES", help="comma-separated check names, or 'all'")
+        swp.add_argument("--no-skip-invalid", action="store_true",
+                         help="fail on invalid triples instead of recording them")
+        common(swp, cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # argparse reads only the subparser that the first argument names
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if args.cap < 1:
             args.parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
         return args.func(args)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, schemas, exit codes, determinism."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -272,20 +273,23 @@ def test_verify_capacity_exit_3(capsys):
     assert "skipped-capacity" in out
 
 
+USAGE_ERROR_ARGVS = (
+    ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
+    ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],
+    ["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "-1"],
+    ["report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--cap", "0"],
+    ["sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--checks", "bogus,all"],
+    ["sweep", "--a", "x..y", "--b", "2..2", "--n", "2..2"],
+    ["sweep", "--a", "3..1", "--b", "2..2", "--n", "2..2"],
+    ["sweep", "--a", "1..1", "--b", "1..2", "--n", "2..2"],
+    ["report", "-a", "1", "-b", "2", "-n", "3", "--format", "yaml"],
+    ["frobnicate"],
+    [],
+)
+
+
 def test_usage_errors_exit_64(capsys):
-    for argv in (
-        ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
-        ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],
-        ["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "-1"],
-        ["report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--cap", "0"],
-        ["sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--checks", "bogus,all"],
-        ["sweep", "--a", "x..y", "--b", "2..2", "--n", "2..2"],
-        ["sweep", "--a", "3..1", "--b", "2..2", "--n", "2..2"],
-        ["sweep", "--a", "1..1", "--b", "1..2", "--n", "2..2"],
-        ["report", "-a", "1", "-b", "2", "-n", "3", "--format", "yaml"],
-        ["frobnicate"],
-        [],
-    ):
+    for argv in USAGE_ERROR_ARGVS:
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == EXIT_USAGE
@@ -320,7 +324,7 @@ def test_usage_errors_found_after_parsing_honor_json(capsys, argv, message):
     assert err == ""
 
 
-@pytest.mark.parametrize("argv, message", [
+FOUND_WHILE_PARSING = [
     (["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope", "--format", "json"],
      "argument --checks: unknown checks: nope (known: " + ", ".join(CHECK_NAMES) + ")"),
     (["sweep", "--a", "3..1", "--b", "2", "--n", "2", "--format", "json"],
@@ -330,7 +334,10 @@ def test_usage_errors_found_after_parsing_honor_json(capsys, argv, message):
     # found by the top-level parser, after the subcommand's parse
     (["verify", "-a", "1", "-b", "2", "-n", "3", "--format", "json", "--bogus"],
      "unrecognized arguments: --bogus"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", FOUND_WHILE_PARSING)
 def test_usage_errors_found_while_parsing_honor_json(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -358,6 +365,70 @@ def test_usage_errors_take_the_format_as_the_parse_does(capsys, formats, fmt, ca
     assert exc_info.value.code == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"grepunit verify: error: {message}\n")
+
+
+# every help text, and calls whose first argument is no subcommand or whose
+# usage error names one; the usage errors include [] and ["frobnicate"]
+PARITY_ARGVS = [
+    ["--help"], ["--version"], ["report", "--help"], ["verify", "--help"], ["sweep", "--help"],
+    ["--", "verify", "-a", "1", "-b", "7", "-n", "6"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus", "--format", "json"],
+    *USAGE_ERROR_ARGVS,
+    *(argv for argv, _ in FOUND_WHILE_PARSING),
+    # the benchmark's seed-0 calls
+    ["sweep", "--a", "1..60", "--b", "2..5", "--n", "2..5", "--checks", "frobenius,genus,pf", "--format", "json"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--checks", "frobenius,genus,pf"],
+    ["sweep", "--a", "1..60", "--b", "2..4", "--n", "2..4", "--checks", "all", "--format", "json"],
+]
+
+
+def cli_outcome(capsys, argv):
+    """Exit code, stdout and stderr of `main(argv)`, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_of_the_invoked_subcommand_writes_what_the_full_one_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = cli_outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome == cli_outcome(capsys, argv)
+
+
+def option_strings(parser):
+    """Each subcommand's option strings, sorted."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
+
+
+def test_only_the_invoked_subcommand_gets_its_options(capsys, monkeypatch):
+    shared = ["--cap", "--format", "--help", "--out", "-h"]
+    full = {
+        "report": sorted(shared + ["-a", "-b", "-n", "--source"]),
+        "verify": sorted(shared + ["-a", "-b", "-n", "--checks"]),
+        "sweep": sorted(shared + ["--a", "--b", "--n", "--checks", "--no-skip-invalid"]),
+    }
+    assert option_strings(cli.build_parser()) == full
+    assert option_strings(cli.build_parser("frobnicate")) == full
+    assert option_strings(cli.build_parser("verify")) == {
+        "report": ["--help", "-h"], "verify": full["verify"], "sweep": ["--help", "-h"],
+    }
+    asked = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or real(command))
+    argv = ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "frobenius"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert main(iter(argv)) == EXIT_OK  # any iterable, read once
+    monkeypatch.setattr(sys, "argv", ["grepunit", *argv])
+    assert main() == EXIT_OK
+    assert asked == ["verify", "verify", "verify"]
 
 
 def test_sweep_json_validates_and_matches(capsys):
