@@ -364,6 +364,10 @@ def build_parser(command: Optional[str] = None) -> Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # exact values of any size: lift the int-to-str digit limit for this run only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         # argparse reads only the subparser that the first argument names
         args = build_parser(argv[0] if argv else None).parse_args(argv)
@@ -385,6 +389,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         render_failure(args.format, "io", exc)
         return EXIT_IO
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

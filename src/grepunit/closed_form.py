@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .arith import GrepunitParams, repunit
+from .arith import GrepunitParams, repunit, validate
 from .errors import (
     CapacityError,
     InvalidBaseError,
+    InvalidParametersError,
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
@@ -130,13 +131,14 @@ def apery_sum_coefficients(b: int, n: int) -> list[int]:
         raise InvalidBaseError(b)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    coeffs = []
-    for j in range(2, n + 1):
-        numerator = b**n + b ** (n - j + 1)
+    top, power, coeffs = b**n, b, []
+    for _ in range(n - 1):  # j = n down to 2, with power = b**(n-j+1)
+        numerator = top + power
         if numerator % 2:
             raise RouteDisagreementError("odd coefficient numerator indicates an arithmetic bug")
         coeffs.append(numerator // 2)
-    return coeffs
+        power *= b
+    return coeffs[::-1]
 
 
 def apery_sum(params: GrepunitParams) -> int:
@@ -164,34 +166,29 @@ def apery_maximals(params: GrepunitParams) -> list[int]:
     """Maximal Apéry elements alpha_i = a_i + (b-1)*(a_i + ... + a_n) for
     i = 2..n, in index order: strictly decreasing when a < b**n - 1 and
     strictly increasing when a > b**n - 1."""
-    gens = params.generators()
-    b, n = params.b, params.n
-    out = []
-    for i in range(2, n + 1):
-        tail = sum(gens[i - 1 :])
-        out.append(gens[i - 1] + (b - 1) * tail)
-    return out
+    tail, out = 0, []
+    for g in reversed(params.generators()[1:]):  # i = n down to 2
+        tail += g
+        out.append(g + (params.b - 1) * tail)
+    return out[::-1]
 
 
-def apery_set_recursive(
-    prev: GrepunitParams, params: GrepunitParams, cap: int = DEFAULT_APERY_CAP
-) -> AperySet:
+def apery_set_recursive(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1), in
     the order of `apery_set`.
 
     Each element w of the smaller set, of length k, lifts to
     w + b**(n-1)*k + u*a_n of length k + u for u = 0..b-1; the single
-    extra element is b*a_n, of length b.  Both parameter triples must be
-    valid; there is no fallback to direct enumeration when the smaller
-    one is not.
+    extra element is b*a_n, of length b.  The lift does not apply, and
+    raises UnsupportedDimensionError, when n < 3 or when the smaller
+    triple is not valid; there is no fallback to direct enumeration.
     """
     if params.n < 3:
-        raise ValueError(f"recursive construction needs n >= 3, got {params.n}")
-    if (prev.a, prev.b, prev.n) != (params.a, params.b, params.n - 1):
-        raise ValueError(
-            f"expected previous triple (a={params.a}, b={params.b}, n={params.n - 1}), "
-            f"got (a={prev.a}, b={prev.b}, n={prev.n})"
-        )
+        raise UnsupportedDimensionError("recursive construction needs n >= 3")
+    try:
+        prev = validate(params.a, params.b, params.n - 1)
+    except InvalidParametersError as exc:
+        raise UnsupportedDimensionError(f"smaller triple invalid: {exc}") from exc
     check_cap(params.multiplicity, cap)
     values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
@@ -256,7 +253,7 @@ def lattice_matrix(params: GrepunitParams) -> LatticeMatrix:
     pattern has no two-column form."""
     n, b, a = params.n, params.b, params.a
     if n < 3:
-        raise UnsupportedDimensionError(f"lattice matrix needs n >= 3, got n = {n}")
+        raise UnsupportedDimensionError("lattice matrix needs n >= 3")
     rows = []
     for i in range(n - 2):
         row = [0] * n

@@ -50,8 +50,9 @@ class NotNumericalSemigroupError(GrepunitError, ValueError):
 
 
 class UnsupportedDimensionError(GrepunitError):
-    """Lattice-matrix operations need n >= 3; the row pattern has no
-    unambiguous two-column form."""
+    """A closed-form construction does not apply to the triple: the
+    lattice matrix needs n >= 3, and the recursive Apéry lift needs
+    n >= 3 and a valid (a, b, n - 1)."""
 
 
 class CapacityError(GrepunitError):

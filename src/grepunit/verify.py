@@ -2,12 +2,13 @@
 
 `CHECKS` maps each check name to a function that computes one invariant
 along both routes; `run_checks` turns each check's result on one triple
-into a match / mismatch / skip row.  The checks share the triple's oracle
-bundle, its closed-form Apéry set and that set's digest, each built once,
-on first use, refusal included.  A capacity overrun is a
-`skipped-capacity` row and a route disagreement inside either engine a
-`mismatch` row with the error as its note.  Grid sweeps iterate triples
-in ascending (b, n, a) order so output is deterministic.
+into a match / mismatch / skip row.  The triple's oracle bundle is built
+first: a refused or disagreeing bundle is every row's outcome, and no
+check runs.  A capacity overrun is a `skipped-capacity` row, a
+construction that does not apply a `skipped-unsupported` row and a route
+disagreement a `mismatch` row, each with the error as its note.  Grid
+sweeps iterate triples in ascending (b, n, a) order so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import closed_form, oracle
 from .arith import GrepunitParams, validate
-from .errors import CapacityError, InvalidParametersError, RouteDisagreementError
+from .errors import (
+    CapacityError,
+    InvalidParametersError,
+    RouteDisagreementError,
+    UnsupportedDimensionError,
+)
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -109,56 +115,35 @@ def oracle_report(
     )
 
 
-class _Unsupported(Exception):
-    """The check does not apply to this triple; the message is the note."""
-
-
 class _Shared:
-    """The inputs that the checks of one triple share: the oracle bundle,
-    the closed-form Apéry set of a_1 and the digest of its sorted values,
-    each built once, on first use, the set only after the bundle has
-    passed, so under the cap that bounds the bundle's sieve.  A slot
-    keeps the value, or the refusal or route disagreement its build
-    raised, without the traceback whose frames hold the tables built so
-    far; no build is kept, so no cycle keeps a triple's tables alive.  A
-    kept value is returned after one type test on its slot, without a call."""
+    """What the checks of one triple share: its oracle bundle, and the
+    closed-form Apéry set of a_1 and the digest of its sorted values, both
+    built on first use.  The set's slot keeps a refusal or route
+    disagreement without its traceback, whose frames hold the tables built
+    so far, so no cycle keeps a triple's tables alive."""
 
-    __slots__ = ("params", "cap", "_bundle", "_apery", "_digest")
+    __slots__ = ("params", "cap", "bundle", "_apery", "_digest")
 
-    def __init__(self, params: GrepunitParams, cap: int):
-        self.params, self.cap = params, cap
-        self._bundle = self._apery = self._digest = None
-
-    def _memo(self, slot: str, build):
-        kept = getattr(self, slot)
-        if kept is None:
-            try:
-                kept = build()
-            except (CapacityError, RouteDisagreementError) as exc:
-                kept = exc.with_traceback(None)
-            setattr(self, slot, kept)
-        if isinstance(kept, Exception):
-            raise type(kept)(*kept.args)  # a copy: a raised error's traceback holds the memo
-        return kept
-
-    def bundle(self) -> OracleBundle:
-        if type(kept := self._bundle) is OracleBundle:
-            return kept
-        return self._memo("_bundle", lambda: oracle_bundle(self.params, self.cap))
+    def __init__(self, params: GrepunitParams, cap: int, bundle: OracleBundle):
+        self.params, self.cap, self.bundle = params, cap, bundle
+        self._apery = self._digest = None
 
     def apery(self) -> closed_form.AperySet:
-        if type(kept := self._apery) is tuple:
-            return kept
-        return self._memo("_apery", self._build_apery)
+        kept = self._apery
+        if kept is None:
+            try:
+                kept = closed_form.apery_set(self.params, cap=self.cap)
+            except (CapacityError, RouteDisagreementError) as exc:
+                kept = exc.with_traceback(None)
+            self._apery = kept
+        if isinstance(kept, Exception):
+            raise type(kept)(*kept.args)  # a copy: a raised error's traceback holds the slot
+        return kept
 
     def digest(self) -> dict:
-        if type(kept := self._digest) is dict:
-            return kept
-        return self._memo("_digest", lambda: _digest(sorted(self.apery()[0])))
-
-    def _build_apery(self) -> closed_form.AperySet:
-        self.bundle()
-        return closed_form.apery_set(self.params, cap=self.cap)
+        if self._digest is None:
+            self._digest = _digest(sorted(self.apery()[0]))
+        return self._digest
 
 
 def _equal(closed, brute) -> tuple:
@@ -167,16 +152,16 @@ def _equal(closed, brute) -> tuple:
 
 
 def _frobenius(params, shared):
-    return _equal(closed_form.frobenius(params), shared.bundle().invariants.frobenius)
+    return _equal(closed_form.frobenius(params), shared.bundle.invariants.frobenius)
 
 
 def _genus(params, shared):
-    return _equal(closed_form.genus(params), shared.bundle().invariants.genus)
+    return _equal(closed_form.genus(params), shared.bundle.invariants.genus)
 
 
 def _apery(params, shared):
     closed_values = shared.apery()[0]
-    apery_mask = shared.bundle().invariants.apery_mask
+    apery_mask = shared.bundle.invariants.apery_mask
     same = oracle._mask_of(closed_values, max(closed_values)) == apery_mask
     matched = same and closed_form.apery_sum(params) == sum(closed_values)
     digest = shared.digest()
@@ -184,11 +169,11 @@ def _apery(params, shared):
 
 
 def _pf(params, shared):
-    return _equal(list(closed_form.pseudo_frobenius(params)), list(shared.bundle().pseudo_frobenius))
+    return _equal(list(closed_form.pseudo_frobenius(params)), list(shared.bundle.pseudo_frobenius))
 
 
 def _type(params, shared):
-    return _equal(len(closed_form.pseudo_frobenius(params)), len(shared.bundle().pseudo_frobenius))
+    return _equal(len(closed_form.pseudo_frobenius(params)), len(shared.bundle.pseudo_frobenius))
 
 
 def _homogeneous(params, shared):
@@ -200,7 +185,7 @@ def _homogeneous(params, shared):
     # Ap(S, m), so levels equal to the groups make the closed set Ap(S, m)
     # with one length per element.  A list, not all(): every level is read,
     # so the oracle's reachability error reaches the row.
-    levels = oracle.apery_levels(shared.bundle().invariants)
+    levels = oracle.apery_levels(shared.bundle.invariants)
     result = all([
         level == oracle._mask_of(group, max(group, default=0))
         for level, group in zip_longest(levels, groups, fillvalue=[])
@@ -209,7 +194,7 @@ def _homogeneous(params, shared):
 
 
 def _wilf(params, shared):
-    bundle = shared.bundle()
+    bundle = shared.bundle
     wilf = oracle.wilf_data(bundle.invariants, bundle.pseudo_frobenius)
     ok = closed_form.wilf_ok(params)
     # for this family type + 1 = embedding dimension, so the
@@ -220,9 +205,6 @@ def _wilf(params, shared):
 
 
 def _minors(params, shared):
-    shared.bundle()  # a refused or disagreeing oracle fails this row too
-    if params.n < 3:
-        raise _Unsupported("lattice matrix needs n >= 3")
     matrix = closed_form.lattice_matrix(params)
     minors = closed_form.maximal_minors(matrix)
     gens = params.generators()
@@ -231,40 +213,23 @@ def _minors(params, shared):
     return minors, gens, matched
 
 
-def _previous(params) -> GrepunitParams | str:
-    """The triple with n - 1 that the recursive lift starts from, or why there is none."""
-    if params.n < 3:
-        return "recursive construction needs n >= 3"
-    try:
-        return validate(params.a, params.b, params.n - 1)
-    except InvalidParametersError as exc:
-        return f"smaller triple invalid: {exc}"
-
-
 def _recursive(params, shared):
-    prev = _previous(params)
-    if isinstance(prev, str):
-        shared.bundle()  # a refused or disagreeing oracle fails this row too
-        raise _Unsupported(prev)
-    direct = shared.apery()
-    lifted = closed_form.apery_set_recursive(prev, params, cap=shared.cap)
+    lifted = closed_form.apery_set_recursive(params, cap=shared.cap)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
-    same = direct == lifted
+    same = lifted == shared.apery()
     return shared.digest(), shared.digest() if same else _digest(sorted(lifted[0])), same
 
 
 def _affine(params, shared):
     # the bundle's sieve covers 0..F, and the check reads no bit above F
-    inv = shared.bundle().invariants
+    inv = shared.bundle.invariants
     result = closed_form.affine_closure_ok(params, inv.sieve, inv.frobenius)
     return True, result, result
 
 
 # Check name -> f(params, shared) -> (closed, oracle, matched).  A check
-# raises CapacityError or _Unsupported to be skipped, and asks for the
-# oracle bundle (`shared.apery()` asks for it first) before it raises
-# its own skipped-unsupported, so a refused bundle's note wins.
+# raises CapacityError or UnsupportedDimensionError to be skipped.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,
@@ -280,27 +245,42 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+def _failed(params: GrepunitParams, check: str, exc: Exception) -> VerifyOutcome:
+    """The row of a check that compared nothing, with the error as its note."""
+    if isinstance(exc, CapacityError):
+        status = STATUS_SKIPPED_CAPACITY
+    elif isinstance(exc, UnsupportedDimensionError):
+        status = STATUS_SKIPPED_UNSUPPORTED
+    else:
+        status = STATUS_MISMATCH
+    return VerifyOutcome(params.a, params.b, params.n, check, None, None, status, str(exc))
+
+
 def _row(params: GrepunitParams, check: str, shared: _Shared) -> VerifyOutcome:
-    if check not in CHECKS:
-        raise ValueError(f"unknown check {check!r}")
-    a, b, n = params.a, params.b, params.n
     try:
         closed, brute, matched = CHECKS[check](params, shared)
-    except CapacityError as exc:
-        return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_CAPACITY, str(exc))
-    except _Unsupported as exc:
-        return VerifyOutcome(a, b, n, check, None, None, STATUS_SKIPPED_UNSUPPORTED, str(exc))
-    except RouteDisagreementError as exc:
-        return VerifyOutcome(a, b, n, check, None, None, STATUS_MISMATCH, str(exc))
+    except (CapacityError, UnsupportedDimensionError, RouteDisagreementError) as exc:
+        return _failed(params, check, exc)
     status = STATUS_MATCH if matched else STATUS_MISMATCH
-    return VerifyOutcome(a, b, n, check, closed, brute, status)
+    return VerifyOutcome(params.a, params.b, params.n, check, closed, brute, status)
 
 
 def run_checks(
     params: GrepunitParams, checks: Iterable[str] = CHECK_NAMES, cap: int = oracle.DEFAULT_SIEVE_CAP
 ) -> list[VerifyOutcome]:
-    """One row per check, in the given order, for one valid triple; `cap` bounds every check."""
-    shared = _Shared(params, cap)
+    """One row per check, in the given order, for one valid triple; `cap`
+    bounds every check.  The oracle bundle is built first, and a refused
+    or disagreeing one gives every row its status and note."""
+    checks = tuple(checks)
+    for check in checks:
+        if check not in CHECKS:
+            raise ValueError(f"unknown check {check!r}")
+    if not checks:
+        return []
+    try:
+        shared = _Shared(params, cap, oracle_bundle(params, cap))
+    except (CapacityError, RouteDisagreementError) as exc:
+        return [_failed(params, check, exc) for check in checks]
     return [_row(params, check, shared) for check in checks]
 
 

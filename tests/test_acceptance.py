@@ -105,12 +105,12 @@ def test_criterion_06_recursive_apery(announce, grid):
             if p.n < 3:
                 continue
             try:
-                prev = validate(p.a, p.b, p.n - 1)
+                validate(p.a, p.b, p.n - 1)
             except InvalidParametersError:
                 continue
             chains += 1
             direct = closed_form.apery_set(p)
-            lifted = closed_form.apery_set_recursive(prev, p)
+            lifted = closed_form.apery_set_recursive(p)
             assert lifted == direct, f"(a={p.a}, b={p.b}, n={p.n})"
         assert chains > 0
 

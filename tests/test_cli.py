@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grepunit import __version__, cli, oracle
+from grepunit import __version__, cli, closed_form, oracle
+from grepunit.arith import validate
 from grepunit.cli import (
     EXIT_CAPACITY,
     EXIT_INVALID,
@@ -22,6 +23,7 @@ from grepunit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    FORMATS,
     main,
     render_rows,
     to_json,
@@ -107,6 +109,41 @@ def test_report_big_integers_become_json_strings(capsys):
     assert isinstance(doc["frobenius"], str)
     assert int(doc["frobenius"]) > 2**53
     assert doc["params"]["a"] == 1  # small values stay numbers
+
+
+HUGE_B = str(10**1500)  # (1, 10^1500, 3) has F of 4501 digits, (1, 10^1500, 4) m of 4501
+
+
+def int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_writes_exact_values_past_the_int_str_limit(capsys, fmt):
+    limit = int_str_limit()
+    code, out, err = run_cli(capsys, "report", "-a", "1", "-b", HUGE_B, "-n", "3", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert int_str_limit() == limit
+    f = closed_form.frobenius(validate(1, 10**1500, 3))
+    tail = str(f % 10**18).zfill(18)  # the last digits, read without the limit
+    if fmt == "json":
+        doc = json.loads(out)
+        assert len(doc["frobenius"]) == 4501 and doc["frobenius"].endswith(tail)
+    else:
+        assert f"{tail}\n" in out or f"{tail}," in out
+
+
+def test_verify_refusal_notes_write_exact_values_past_the_int_str_limit(capsys):
+    limit = int_str_limit()
+    code, out, err = run_cli(capsys, "verify", "-a", "1", "-b", HUGE_B, "-n", "4", "--format", "json")
+    assert (code, err) == (EXIT_CAPACITY, "")
+    assert int_str_limit() == limit
+    rows = json.loads(out)["rows"]
+    assert [r["check"] for r in rows] == list(CHECK_NAMES)
+    assert {r["status"] for r in rows} == {"skipped-capacity"}
+    assert len({r["note"] for r in rows}) == 1
+    assert rows[0]["note"].startswith("multiplicity 1000")
+    assert "needs a sieve bound of at least" in rows[0]["note"]
 
 
 def json_ready(value):

@@ -193,6 +193,18 @@ def test_apery_sum_matches_enumeration():
         assert closed_form.apery_sum(p) == sum(closed_form.apery_set(p)[0])
 
 
+def test_one_pass_sums_match_the_direct_formulas(grid):
+    # the paper's formulas as written, each term on its own
+    for b in range(2, 8):
+        for n in range(2, 12):
+            direct = [(b**n + b ** (n - j + 1)) // 2 for j in range(2, n + 1)]
+            assert closed_form.apery_sum_coefficients(b, n) == direct, (b, n)
+    for p in grid:
+        gens, b, n = p.generators(), p.b, p.n
+        direct = [gens[i - 1] + (b - 1) * sum(gens[i - 1 :]) for i in range(2, n + 1)]
+        assert closed_form.apery_maximals(p) == direct, p
+
+
 def test_pseudo_frobenius_golden():
     assert closed_form.pseudo_frobenius(GOLDEN) == [197, 274, 351]
     assert closed_form.pseudo_frobenius(validate(1, 2, 3)) == [13, 19]
@@ -230,19 +242,17 @@ def test_closed_form_identities_at_huge_size():
 def test_recursive_apery_matches_direct():
     for a, b, n in ((1, 2, 3), (1, 2, 4), (3, 3, 4), (7, 5, 3), (23, 2, 5)):
         p = validate(a, b, n)
-        prev = validate(a, b, n - 1)
         direct = closed_form.apery_set(p)
-        lifted = closed_form.apery_set_recursive(prev, p)
+        lifted = closed_form.apery_set_recursive(p)
         assert lifted == direct
 
 
 def test_recursive_apery_argument_checks():
-    with pytest.raises(ValueError):
-        closed_form.apery_set_recursive(validate(1, 2, 2), validate(1, 2, 2))
-    with pytest.raises(ValueError):
-        closed_form.apery_set_recursive(validate(1, 2, 2), validate(1, 2, 4))
-    with pytest.raises(ValueError):
-        closed_form.apery_set_recursive(validate(2, 3, 2), validate(1, 3, 3))
+    with pytest.raises(UnsupportedDimensionError, match="^recursive construction needs n >= 3$"):
+        closed_form.apery_set_recursive(validate(1, 2, 2))
+    # (2, 5, 3) is valid but (2, 5, 2) has gcd(6, 2) = 2
+    with pytest.raises(UnsupportedDimensionError, match=r"^smaller triple invalid: gcd\(repunit\(5, 2\), 2\)"):
+        closed_form.apery_set_recursive(validate(2, 5, 3))
 
 
 def test_recursive_apery_respects_cap(monkeypatch):
@@ -252,7 +262,7 @@ def test_recursive_apery_respects_cap(monkeypatch):
 
     monkeypatch.setattr(closed_form, "apery_set", refuse)
     with pytest.raises(CapacityError, match="111111 coefficient tuples exceed cap 50000"):
-        closed_form.apery_set_recursive(validate(1, 10, 5), validate(1, 10, 6), cap=50000)
+        closed_form.apery_set_recursive(validate(1, 10, 6), cap=50000)
 
 
 def test_homogeneous_golden(monkeypatch):
@@ -378,7 +388,7 @@ def test_lattice_matrix_smallest():
 
 
 def test_lattice_matrix_rejects_two_generators():
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(UnsupportedDimensionError, match="^lattice matrix needs n >= 3$"):
         closed_form.lattice_matrix(validate(1, 2, 2))
 
 

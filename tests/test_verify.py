@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from grepunit import closed_form, oracle, verify
 from grepunit.arith import repunit, validate
 from grepunit.closed_form import frobenius, invariant_report
-from grepunit.errors import RouteDisagreementError
+from grepunit.errors import RouteDisagreementError, UnsupportedDimensionError
 from grepunit.verify import (
     CHECK_NAMES,
     CHECKS,
@@ -61,6 +61,57 @@ def test_all_checks_match_on_golden_point():
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_checks(validate(1, 2, 2), ("frobeniuss",))
+
+
+def refuse_every_check(monkeypatch):
+    for name in CHECK_NAMES:
+        monkeypatch.setitem(CHECKS, name, lambda params, shared, name=name: pytest.fail(f"{name} ran"))
+
+
+def test_refused_bundle_is_every_row_and_runs_no_check(monkeypatch):
+    refuse_every_check(monkeypatch)
+    rows = run_checks(validate(3, 3, 4), cap=100)
+    assert [(r.check, r.status, r.note) for r in rows] == [
+        (name, STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100") for name in CHECK_NAMES
+    ]
+
+
+def test_disagreeing_bundle_is_every_row_and_runs_no_check(monkeypatch):
+    def disagree(inv):
+        raise RouteDisagreementError("pseudo-Frobenius routes disagree: planted")
+
+    monkeypatch.setattr(oracle, "pseudo_frobenius", disagree)
+    refuse_every_check(monkeypatch)
+    rows = run_checks(validate(3, 3, 4))
+    assert [(r.check, r.closed, r.oracle, r.status, r.note) for r in rows] == [
+        (name, None, None, STATUS_MISMATCH, "pseudo-Frobenius routes disagree: planted") for name in CHECK_NAMES
+    ]
+
+
+@pytest.mark.parametrize("cap", [oracle.DEFAULT_SIEVE_CAP, 100])
+def test_unknown_check_is_rejected_before_the_bundle(monkeypatch, cap):
+    monkeypatch.setattr(verify, "oracle_bundle", lambda params, cap: pytest.fail("bundle built"))
+    with pytest.raises(ValueError, match="unknown check 'frobeniuss'"):
+        run_checks(validate(3, 3, 4), ("frobenius", "frobeniuss"), cap)
+
+
+def test_no_checks_build_no_bundle(monkeypatch):
+    monkeypatch.setattr(verify, "oracle_bundle", lambda params, cap: pytest.fail("bundle built"))
+    assert run_checks(validate(3, 3, 4), ()) == []
+
+
+@pytest.mark.parametrize("triple, builds", [
+    ((1, 2, 2), {"minors": closed_form.lattice_matrix, "recursive": closed_form.apery_set_recursive}),
+    ((3, 3, 2), {"minors": closed_form.lattice_matrix, "recursive": closed_form.apery_set_recursive}),
+    ((2, 5, 3), {"recursive": closed_form.apery_set_recursive}),  # (2, 5, 2) is invalid
+])
+def test_unsupported_notes_are_the_closed_form_errors(triple, builds):
+    # the closed-form constructions alone decide that they do not apply
+    p = validate(*triple)
+    for row in run_checks(p, tuple(builds)):
+        with pytest.raises(UnsupportedDimensionError) as raised:
+            builds[row.check](p)
+        assert (row.status, row.note) == (STATUS_SKIPPED_UNSUPPORTED, str(raised.value))
 
 
 def test_structural_checks_skip_two_generator_points():
@@ -161,8 +212,8 @@ def same_sum_other_values(real, params, cap):
     return (0, values[1] + m, values[2] - m, *values[3:]), lengths
 
 
-def one_length_off(real, prev, params, cap):
-    values, lengths = real(prev, params, cap=cap)
+def one_length_off(real, params, cap):
+    values, lengths = real(params, cap=cap)
     return values, (*lengths[:-1], lengths[-1] + 1)
 
 
@@ -217,7 +268,8 @@ def test_run_checks_leaves_no_cyclic_garbage():
 
 
 def test_shared_inputs_are_slotted():
-    assert not hasattr(verify._Shared(validate(3, 3, 4), oracle.DEFAULT_SIEVE_CAP), "__dict__")
+    p, cap = validate(3, 3, 4), oracle.DEFAULT_SIEVE_CAP
+    assert not hasattr(verify._Shared(p, cap, oracle_bundle(p, cap)), "__dict__")
 
 
 def test_agreeing_routes_report_the_closed_object():
