@@ -15,7 +15,6 @@ hold one object.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 try:  # the C escaper that json.encoder re-exports, without the json package
     from _json import encode_basestring_ascii as _escape
@@ -180,14 +179,10 @@ def render_report(report: InvariantReport, fmt: str) -> str:
     if fmt == "json":
         return to_json(doc) + "\n"
     if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # no cell holds a comma, quote or line break, so none is quoted
         columns = [k for k in doc if k not in ("kind", "version", "params")]
-        writer.writerow(["a", "b", "n"] + columns)
-        p = report.params
-        writer.writerow([p.a, p.b, p.n] + [csv_cell(doc[k]) for k in columns])
-        return buf.getvalue()
+        cells = [*map(str, report.params), *(csv_cell(doc[k]) for k in columns)]
+        return f"a,b,n,{','.join(columns)}\n{','.join(cells)}\n"
     lines = [f"generalized repunit semigroup  a={report.params.a} b={report.params.b} n={report.params.n}"]
     fields = (
         ("source", report.source),
@@ -231,15 +226,12 @@ def render_rows(kind: str, header: dict, rows: list[VerifyOutcome], summary: dic
         body = f"[\n    {body}\n  ]" if rows else "[]"
         return f'{head},\n  "rows": {body},\n  "summary": {to_json(summary, "  ")}\n}}\n'
     if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.a, r.b, r.n, r.check, csv_cell(r.closed), csv_cell(r.oracle), r.status]
-            )
-        return buf.getvalue()
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [
+            f"{r.a},{r.b},{r.n},{r.check},{csv_cell(r.closed)},{csv_cell(r.oracle)},{r.status}"
+            for r in rows
+        ]
+        return "\n".join(lines) + "\n"
     lines = []
     for r in rows:
         line = f"a={r.a} b={r.b} n={r.n}  {r.check:<12} {r.status:<20}"
@@ -258,19 +250,25 @@ def emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # so a write error surfaces here, not at exit
 
 
 def render_failure(fmt: str, error_kind: str, exc: Exception) -> None:
-    """Errors honor --format too: JSON consumers get a structured object."""
-    if fmt == "json":
-        doc = {
-            "kind": "error",
-            "version": __version__,
-            "error": error_kind,
-            "message": str(exc),
-        }
-        sys.stdout.write(to_json(doc) + "\n")
-    else:
+    """Errors honor --format too: JSON consumers get a structured object,
+    unless stdout cannot take it; then `error: ...` goes to stderr, as in the
+    other formats, and stdout is closed so the flush at exit skips it."""
+    doc = {"kind": "error", "version": __version__, "error": error_kind, "message": str(exc)}
+    text = to_json(doc) + "\n" if fmt == "json" else ""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # where stdout is what failed, this fails again
+    except OSError:
+        text = ""
+        try:
+            sys.stdout.close()
+        except OSError:  # closing flushes first, and closes all the same
+            pass
+    if not text:
         print(f"error: {exc}", file=sys.stderr)
 
 
@@ -309,7 +307,7 @@ def cmd_sweep(args) -> int:
     emit(render_rows("sweep", {"spec": spec._asdict()}, rows, summary, args.format), args.out)
     if args.out or args.format == "csv":
         stream = sys.stdout if args.out else sys.stderr
-        print(summary_line(summary), file=stream)
+        print(summary_line(summary), file=stream, flush=True)
     return EXIT_MISMATCH if summary[STATUS_MISMATCH] else EXIT_OK
 
 

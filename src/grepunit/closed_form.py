@@ -10,7 +10,7 @@ invariants from definitions; `verify` pits the two against each other.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .arith import GrepunitParams, repunit, validate
 from .errors import (
@@ -25,13 +25,13 @@ DEFAULT_APERY_CAP = 10**6
 AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
 
 
-def check_cap(m: int, cap: Optional[int]) -> None:
+def check_cap(m: int, cap: int | None) -> None:
     """Refuse an Apéry enumeration of m coefficient tuples over the cap."""
     if cap is not None and m > cap:
         raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
 
 
-def coefficient_tuples(b: int, i: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
+def coefficient_tuples(b: int, i: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All tuples (u_2, ..., u_i) with 0 <= u_j <= b where an entry equal
     to b forces every entry to its left to be 0; lexicographic order.
 
@@ -89,7 +89,7 @@ def _residue_system(m: int, values: list[int], lengths: list[int]) -> AperySet:
     return tuple(values), tuple(lengths)
 
 
-def apery_set(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
+def apery_set(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set with respect to the multiplicity a_1, built directly one
     generator a_j at a time: the value sum(u_j * a_j) and factorization
     length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
@@ -173,7 +173,7 @@ def apery_maximals(params: GrepunitParams) -> list[int]:
     return out[::-1]
 
 
-def apery_set_recursive(params: GrepunitParams, cap: int = DEFAULT_APERY_CAP) -> AperySet:
+def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1), in
     the order of `apery_set`.
 

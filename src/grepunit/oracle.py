@@ -431,13 +431,13 @@ def pseudo_frobenius(inv: SemigroupInvariants) -> list[int]:
     return pf
 
 
-def minimal_generators(sg: GenericSemigroup) -> list[int]:
-    """Unique minimal generating set of the semigroup.
-
-    An element is redundant exactly when it is a sum of smaller ones.
-    """
-    gens = sg.gens
-    return [v for idx, v in enumerate(gens) if not _closure(gens[:idx], v) >> v & 1]
+def minimal_generators(inv: SemigroupInvariants) -> list[int]:
+    """Unique minimal generating set, read from the membership sieve: a
+    generator v is redundant iff v - g is a member for a smaller generator
+    g, as a sum below v uses only generators below v.  Bit x is read as
+    s & 1 << x, x bits of work, where s >> x & 1 copies the whole sieve."""
+    gens, s = inv.semigroup.gens, inv.sieve
+    return [v for i, v in enumerate(gens) if not any(s & 1 << v - g for g in gens[:i])]
 
 
 def apery_levels(inv: SemigroupInvariants) -> Iterator[int]:
@@ -486,8 +486,8 @@ class WilfData(NamedTuple):
 
 
 def wilf_data(inv: SemigroupInvariants, pf: Sequence[int]) -> WilfData:
-    """Wilf and type bounds of `inv`'s semigroup, whose pseudo-Frobenius numbers are `pf`."""
-    gens = tuple(minimal_generators(inv.semigroup))
+    """Wilf and type bounds from `inv`'s sieve and pseudo-Frobenius numbers `pf`."""
+    gens = tuple(minimal_generators(inv))
     e, t = len(gens), len(pf)
     return WilfData(
         frobenius=inv.frobenius,

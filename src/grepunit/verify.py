@@ -118,27 +118,19 @@ def oracle_report(
 class _Shared:
     """What the checks of one triple share: its oracle bundle, and the
     closed-form Apéry set of a_1 and the digest of its sorted values, both
-    built on first use.  The set's slot keeps a refusal or route
-    disagreement without its traceback, whose frames hold the tables built
-    so far, so no cycle keeps a triple's tables alive."""
+    built on first use.  The bundle admits only 2m within the cap, so the
+    set needs no cap of its own."""
 
-    __slots__ = ("params", "cap", "bundle", "_apery", "_digest")
+    __slots__ = ("params", "bundle", "_apery", "_digest")
 
-    def __init__(self, params: GrepunitParams, cap: int, bundle: OracleBundle):
-        self.params, self.cap, self.bundle = params, cap, bundle
+    def __init__(self, params: GrepunitParams, bundle: OracleBundle):
+        self.params, self.bundle = params, bundle
         self._apery = self._digest = None
 
     def apery(self) -> closed_form.AperySet:
-        kept = self._apery
-        if kept is None:
-            try:
-                kept = closed_form.apery_set(self.params, cap=self.cap)
-            except (CapacityError, RouteDisagreementError) as exc:
-                kept = exc.with_traceback(None)
-            self._apery = kept
-        if isinstance(kept, Exception):
-            raise type(kept)(*kept.args)  # a copy: a raised error's traceback holds the slot
-        return kept
+        if self._apery is None:
+            self._apery = closed_form.apery_set(self.params, cap=None)
+        return self._apery
 
     def digest(self) -> dict:
         if self._digest is None:
@@ -214,7 +206,7 @@ def _minors(params, shared):
 
 
 def _recursive(params, shared):
-    lifted = closed_form.apery_set_recursive(params, cap=shared.cap)
+    lifted = closed_form.apery_set_recursive(params, cap=None)
     # both come in coefficient-tuple order, so the (values, lengths)
     # tuples compare as they are, lengths included
     same = lifted == shared.apery()
@@ -229,7 +221,7 @@ def _affine(params, shared):
 
 
 # Check name -> f(params, shared) -> (closed, oracle, matched).  A check
-# raises CapacityError or UnsupportedDimensionError to be skipped.
+# raises UnsupportedDimensionError to be skipped.
 CHECKS = {
     "frobenius": _frobenius,
     "genus": _genus,
@@ -259,7 +251,7 @@ def _failed(params: GrepunitParams, check: str, exc: Exception) -> VerifyOutcome
 def _row(params: GrepunitParams, check: str, shared: _Shared) -> VerifyOutcome:
     try:
         closed, brute, matched = CHECKS[check](params, shared)
-    except (CapacityError, UnsupportedDimensionError, RouteDisagreementError) as exc:
+    except (UnsupportedDimensionError, RouteDisagreementError) as exc:
         return _failed(params, check, exc)
     status = STATUS_MATCH if matched else STATUS_MISMATCH
     return VerifyOutcome(params.a, params.b, params.n, check, closed, brute, status)
@@ -278,7 +270,7 @@ def run_checks(
     if not checks:
         return []
     try:
-        shared = _Shared(params, cap, oracle_bundle(params, cap))
+        shared = _Shared(params, oracle_bundle(params, cap))
     except (CapacityError, RouteDisagreementError) as exc:
         return [_failed(params, check, exc) for check in checks]
     return [_row(params, check, shared) for check in checks]

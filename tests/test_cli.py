@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -523,6 +525,62 @@ def test_out_to_missing_directory_exit_4(capsys):
     assert "error" in err
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", [
+    ("report", "-a", "1", "-b", "2", "-n", "3"),
+    ("verify", "-a", "1", "-b", "2", "-n", "2"),
+    ("sweep", "--a", "1..2", "--b", "2", "--n", "2..3"),
+], ids=lambda argv: argv[0])
+def test_stdout_write_failure_exits_4_with_the_error_on_stderr(capsys, monkeypatch, argv, fmt):
+    # a JSON error document cannot go where the output could not, so in
+    # every format the error goes to stderr, with no traceback
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main([*argv, "--format", fmt])
+    assert (code, capsys.readouterr().err) == (EXIT_IO, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [
+    *((["verify", "-a", "1", "-b", "2", "-n", "2", "--format", fmt], unbuffered)
+      for fmt in FORMATS for unbuffered in ("", "1")),
+    (["sweep", "--a", "1", "--b", "2", "--n", "2", "--out", os.devnull], ""),  # the summary goes to stdout
+])
+def test_full_device_exits_4_without_traceback(argv, unbuffered):
+    # buffered, the write error comes at the flush, and the flush at exit
+    # must not fail on the same bytes again; unbuffered, it comes at the write
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "grepunit", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_IO, "error: [Errno 28] No space left on device\n")
+
+
+def test_documents_with_exact_ints_beyond_2_53_validate(capsys):
+    b = str(2**60)  # m = 2**60 + 1: the closed-form report is written, the oracle refuses
+    for argv, schema, path in [
+        (("report", "-a", "1", "-b", b, "-n", "2"), REPORT_SCHEMA, ("params", "b")),
+        (("verify", "-a", "1", "-b", b, "-n", "2"), OUTCOMES_SCHEMA, ("params", "b")),
+        (("sweep", "--a", "1", "--b", b, "--n", "2"), OUTCOMES_SCHEMA, ("spec", "b_range", 0)),
+    ]:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        value = doc
+        for key in path:
+            value = value[key]
+        assert (code, value) == (EXIT_OK if argv[0] != "verify" else EXIT_CAPACITY, b)
+        if argv[0] != "report":
+            assert doc["rows"][0]["b"] == b
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "grepunit", "--version"],
@@ -556,8 +614,8 @@ def run_fresh(script):
 
 def test_startup_imports_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
-    # the CLI's set-up.  hashlib loads OpenSSL, and csv and the json package
-    # are only needed by the runs that use them.
+    # the CLI's set-up.  hashlib loads OpenSSL, csv is needed by no run, and
+    # the json package only by the runs that use it.
     script = (
         "import sys, grepunit.cli; grepunit.cli.build_parser(); "
         "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib', 'csv', 'json'} & set(sys.modules)))"
@@ -567,8 +625,8 @@ def test_startup_imports_no_dataclasses():
 
 def test_deferred_imports_load_only_in_runs_that_use_them():
     # the acceptance sweep's checks and a JSON report load none of them, nor
-    # does an Apéry row's digest, which hashes with CPython's own SHA-256;
-    # a CSV document loads csv
+    # does an Apéry row's digest, which hashes with CPython's own SHA-256,
+    # nor a CSV document, whose cells are joined without the csv module
     script = """
 import contextlib, io, sys
 from grepunit.cli import main
@@ -582,7 +640,7 @@ loaded('verify', '-a', '1', '-b', '7', '-n', '6', '--checks', 'apery')
 loaded('report', '-a', '1', '-b', '2', '-n', '3', '--format', 'csv')
 """
     assert run_fresh(script).splitlines() == [
-        "[]", "[]", "[]", "['csv']"
+        "[]", "[]", "[]", "[]"
     ]
 
 

@@ -382,6 +382,15 @@ def test_windowed_sieve_peaks_below_the_closure():
     assert peak < 3 * sys.getsizeof(oracle._window_closure(gens, bound))
 
 
+def test_minimal_generators_read_a_few_bits_of_the_sieve():
+    # the family at (1, 10, 6), whose sieve is about 0.7 MB: bit x is read
+    # as s & 1 << x, about 4 kB at the peak.  A closure of the smaller
+    # generators per generator peaks near 78 kB, and s >> x & 1 copies
+    # nearly the whole sieve
+    inv = oracle.basic_invariants(sg(111111, 111112, 111122, 111222, 112222, 122222))
+    assert traced_peak(oracle.minimal_generators, inv) < 64_000
+
+
 @pytest.mark.parametrize("gens", [(7, 8, 10), (1000, 1001)])  # m on each side of APERY_WINDOW_MIN
 def test_invariants_are_hashable(gens):
     inv = oracle.basic_invariants(sg(*gens))
@@ -526,10 +535,13 @@ def test_pseudo_frobenius_holds_one_route_at_a_time(gens):
 
 
 def test_minimal_generators_drop_redundant():
-    assert oracle.minimal_generators(sg(3, 8, 11, 14)) == [3, 8]
-    assert oracle.minimal_generators(sg(40, 43, 52, 79)) == [40, 43, 52, 79]
-    assert oracle.minimal_generators(sg(7, 8, 10, 15)) == [7, 8, 10]
-    assert oracle.minimal_generators(sg(1, 5)) == [1]
+    def minimal(*gens):
+        return oracle.minimal_generators(oracle.basic_invariants(sg(*gens)))
+
+    assert minimal(3, 8, 11, 14) == [3, 8]
+    assert minimal(40, 43, 52, 79) == [40, 43, 52, 79]
+    assert minimal(7, 8, 10, 15) == [7, 8, 10]
+    assert minimal(1, 5) == [1]
 
 
 def apery_masks(s) -> dict[int, int]:

@@ -252,9 +252,14 @@ def test_refused_bundle_spares_the_closed_apery_build(monkeypatch):
     }
 
 
-def test_run_checks_leaves_no_cyclic_garbage():
+def test_run_checks_leaves_no_cyclic_garbage(monkeypatch):
     # a reference cycle through the per-triple memo would keep the
-    # triple's tables alive until the cyclic collector ran
+    # triple's tables alive until the cyclic collector ran; so would one
+    # through a closed-form route disagreement, which reaches each row
+    # that reads the closed Apéry set
+    def disagree(params, cap):
+        raise RouteDisagreementError("closed Apéry set disagrees: planted")
+
     p = validate(3, 3, 4)
     run_checks(p)
     gc.collect()
@@ -263,13 +268,20 @@ def test_run_checks_leaves_no_cyclic_garbage():
         for cap in (oracle.DEFAULT_SIEVE_CAP, 100, 10):
             run_checks(p, cap=cap)
             assert gc.collect() == 0, cap
+        monkeypatch.setattr(closed_form, "apery_set", disagree)
+        rows = run_checks(p)
+        assert gc.collect() == 0
     finally:
         gc.enable()
+    assert [(r.check, r.status, r.note) for r in rows if r.status != STATUS_MATCH] == [
+        (check, STATUS_MISMATCH, "closed Apéry set disagrees: planted")
+        for check in ("apery", "homogeneous", "recursive")
+    ]
 
 
 def test_shared_inputs_are_slotted():
-    p, cap = validate(3, 3, 4), oracle.DEFAULT_SIEVE_CAP
-    assert not hasattr(verify._Shared(p, cap, oracle_bundle(p, cap)), "__dict__")
+    p = validate(3, 3, 4)
+    assert not hasattr(verify._Shared(p, oracle_bundle(p, oracle.DEFAULT_SIEVE_CAP)), "__dict__")
 
 
 def test_agreeing_routes_report_the_closed_object():
@@ -326,7 +338,7 @@ def test_oracle_report_apery_sum_is_the_element_sum_of_the_mask(grid):
 def test_oracle_report_builds_the_minimal_generators_once(monkeypatch):
     calls = []
     real = oracle.minimal_generators
-    monkeypatch.setattr(oracle, "minimal_generators", lambda sg: calls.append(sg) or real(sg))
+    monkeypatch.setattr(oracle, "minimal_generators", lambda inv: calls.append(inv.semigroup) or real(inv))
     report = oracle_report(validate(3, 3, 4))
     assert report.generators == (40, 43, 52, 79)
     assert calls == [oracle.GenericSemigroup((40, 43, 52, 79))]
