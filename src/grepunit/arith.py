@@ -81,28 +81,3 @@ def validate(a: int, b: int, n: int) -> GrepunitParams:
     """Check (a, b, n) and return the validated triple, or raise a
     parameter error naming the first violated condition."""
     return GrepunitParams(a, b, n)
-
-
-def relation_holds(params: GrepunitParams, i: int, j: int) -> bool:
-    """Whether b*a_i + a_{i+j} == b*a_{i+j-1} + a_{i+1} (i, j >= 1).
-
-    These are the binomial relations whose exponent vectors span the
-    defect lattice of the semigroup.
-    """
-    if i < 1 or j < 1:
-        raise ValueError(f"need i, j >= 1, got i={i}, j={j}")
-    b = params.b
-    lhs = b * params.generator(i) + params.generator(i + j)
-    rhs = b * params.generator(i + j - 1) + params.generator(i + 1)
-    return lhs == rhs
-
-
-def extension_holds(params: GrepunitParams, i: int) -> bool:
-    """Whether a_{n+i} == a_i + a * b**(i-1) * a_1 (i >= 1), i.e. the
-    generators beyond a_n are redundant."""
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
-    a1 = params.multiplicity
-    lhs = params.generator(params.n + i)
-    rhs = params.generator(i) + params.a * params.b ** (i - 1) * a1
-    return lhs == rhs

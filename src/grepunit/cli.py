@@ -68,6 +68,13 @@ class Parser(argparse.ArgumentParser):
         self.argv = sys.argv[1:] if args is None else list(args)  # a subcommand's own only
         return super().parse_known_args(args, namespace)
 
+    def _print_message(self, message, file=None):
+        # argparse drops write errors here; help and version on stdout are exit 4
+        if file is sys.stdout:
+            emit(message, None)
+        else:
+            super()._print_message(message, file)
+
     def error(self, message):
         fmt = None  # as the parse takes it: the last --format, maybe abbreviated or with "="
         for arg, following in zip(self.argv, [*self.argv[1:], None]):
@@ -366,6 +373,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
+    args = None  # still None when --help or --version fails to write while parsing
     try:
         # argparse reads only the subparser that the first argument names
         args = build_parser(argv[0] if argv else None).parse_args(argv)
@@ -385,7 +393,7 @@ def main(argv=None) -> int:
         render_failure(args.format, "route-disagreement", exc)
         return EXIT_MISMATCH
     except OSError as exc:
-        render_failure(args.format, "io", exc)
+        render_failure(args.format if args else "text", "io", exc)
         return EXIT_IO
     finally:
         if limit:

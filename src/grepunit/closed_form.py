@@ -31,7 +31,7 @@ def check_cap(m: int, cap: int | None) -> None:
         raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
 
 
-def coefficient_tuples(b: int, i: int, cap: int | None = None) -> list[tuple[int, ...]]:
+def coefficient_tuples(b: int, i: int, cap: int | None = DEFAULT_APERY_CAP) -> list[tuple[int, ...]]:
     """All tuples (u_2, ..., u_i) with 0 <= u_j <= b where an entry equal
     to b forces every entry to its left to be 0; lexicographic order.
 
@@ -142,9 +142,15 @@ def apery_sum_coefficients(b: int, n: int) -> list[int]:
 
 
 def apery_sum(params: GrepunitParams) -> int:
-    """Sum of the Apéry set, without enumerating it."""
-    gens = params.generators()
-    return sum(c * g for c, g in zip(apery_sum_coefficients(params.b, params.n), gens[1:]))
+    """Sum of the Apéry set, without enumerating it: sum(c_j * a_j), with the
+    `apery_sum_coefficients`, as (b**n * sum(a_j) + sum(b**(n-j+1) * a_j)) / 2."""
+    b, gens, horner = params.b, params.generators()[1:], 0
+    for g in gens:  # j = 2..n, by Horner's rule: horner ends as sum(b**(n-j+1) * a_j)
+        horner = (horner + g) * b
+    numerator = b**params.n * sum(gens) + horner
+    if numerator % 2:
+        raise RouteDisagreementError("odd Apéry sum numerator indicates an arithmetic bug")
+    return numerator // 2
 
 
 def pseudo_frobenius(params: GrepunitParams) -> list[int]:
@@ -323,11 +329,21 @@ def wilf_ok(params: GrepunitParams) -> bool:
 
 def invariant_report(params: GrepunitParams) -> InvariantReport:
     """Bundle every closed-form invariant; n(S) comes from the identity
-    g + n(S) = F + 1 and the Wilf flag from `wilf_ok`."""
+    g + n(S) = F + 1 and the Wilf flag from `wilf_ok`.  At any size and
+    without the oracle, it raises RouteDisagreementError unless Selmer's
+    sum(Ap) = m*g + m*(m-1)/2 holds and PF is the maximal Apéry elements
+    less m (n - 1 of them, as `pseudo_frobenius` refuses any other count)."""
+    m = params.multiplicity
     f = frobenius(params)
     g = genus(params)
+    total = apery_sum(params)
+    selmer = m * g + m * (m - 1) // 2
+    if total != selmer:
+        raise RouteDisagreementError(f"Apéry sum {total} is not m*g + m*(m-1)/2 = {selmer}")
     pf = pseudo_frobenius(params)
-    n_of_s = f + 1 - g
+    for x, y in zip(pf, sorted(alpha - m for alpha in apery_maximals(params))):
+        if x != y:
+            raise RouteDisagreementError(f"pseudo-Frobenius number {x} is not {y}, from the maximals")
     return InvariantReport(
         params=params,
         source="closed-form",
@@ -336,7 +352,7 @@ def invariant_report(params: GrepunitParams) -> InvariantReport:
         genus=g,
         pseudo_frobenius=tuple(pf),
         type=len(pf),
-        apery_sum=apery_sum(params),
-        n_of_s=n_of_s,
+        apery_sum=total,
+        n_of_s=f + 1 - g,
         wilf_ok=wilf_ok(params),
     )

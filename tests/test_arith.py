@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grepunit.arith import (
-    GrepunitParams,
-    extension_holds,
-    relation_holds,
-    repunit,
-    validate,
-)
+from grepunit.arith import GrepunitParams, repunit, validate
 from grepunit.errors import (
     InvalidBaseError,
     InvalidLengthError,
@@ -134,16 +128,19 @@ def test_replace_validates_again():
 
 
 def test_relation_holds_everywhere(grid):
+    # b*a_i + a_{i+j} == b*a_{i+j-1} + a_{i+1}, past index n too
     for p in grid:
+        gen = p.generator
         for i in range(1, 7):
             for j in range(1, 7):
-                assert relation_holds(p, i, j)
+                assert p.b * gen(i) + gen(i + j) == p.b * gen(i + j - 1) + gen(i + 1), (p, i, j)
 
 
 def test_extension_holds_everywhere(grid):
+    # a_{n+i} == a_i + a * b**(i-1) * a_1: the generators beyond a_n are redundant
     for p in grid:
         for i in range(1, 5):
-            assert extension_holds(p, i)
+            assert p.generator(p.n + i) == p.generator(i) + p.a * p.b ** (i - 1) * p.multiplicity, (p, i)
 
 
 @given(st.integers(1, 100), st.integers(2, 9), st.integers(2, 6))

@@ -551,6 +551,9 @@ def test_stdout_write_failure_exits_4_with_the_error_on_stderr(capsys, monkeypat
     *((["verify", "-a", "1", "-b", "2", "-n", "2", "--format", fmt], unbuffered)
       for fmt in FORMATS for unbuffered in ("", "1")),
     (["sweep", "--a", "1", "--b", "2", "--n", "2", "--out", os.devnull], ""),  # the summary goes to stdout
+    # argparse writes these itself, and would drop the error
+    *((argv, unbuffered) for argv in (["--help"], ["--version"], ["verify", "--help"])
+      for unbuffered in ("", "1")),
 ])
 def test_full_device_exits_4_without_traceback(argv, unbuffered):
     # buffered, the write error comes at the flush, and the flush at exit

@@ -1,6 +1,7 @@
 """Closed formulas against golden values and small direct enumerations."""
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 
 import grepunit
 from grepunit import closed_form, oracle
-from grepunit.arith import extension_holds, relation_holds, repunit, validate
+from grepunit.arith import repunit, validate
+from grepunit.cli import EXIT_MISMATCH, main
 from grepunit.closed_form import LatticeMatrix
 from grepunit.errors import (
     CapacityError,
@@ -65,6 +67,8 @@ def test_coefficient_tuples_sorted_and_distinct():
 def test_coefficient_tuples_cap_and_args():
     with pytest.raises(CapacityError):
         closed_form.coefficient_tuples(5, 6, cap=100)
+    with pytest.raises(CapacityError):  # about 1.1e29 tuples: refused by default, before any is made
+        closed_form.coefficient_tuples(10, 30)
     with pytest.raises(InvalidBaseError):
         closed_form.coefficient_tuples(1, 3)
     with pytest.raises(ValueError):
@@ -232,11 +236,45 @@ def test_closed_form_identities_at_huge_size():
         assert report.type == n - 1
         assert report.wilf_ok
         assert max(report.pseudo_frobenius) == report.frobenius
+        gen = p.generator
         for i, j in ((1, 1), (1, n - 1), (57, 31), (n - 1, 1)):
-            assert relation_holds(p, i, j)
+            assert b * gen(i) + gen(i + j) == b * gen(i + j - 1) + gen(i + 1)
         for i in (1, 2, n):
-            assert extension_holds(p, i)
+            assert gen(n + i) == gen(i) + a * b ** (i - 1) * p.multiplicity
         assert closed_form.lattice_matrix(p).annihilates(p.generators())
+
+
+# one-line faults that keep every other closed formula as it is
+PLANTED_FAULTS = {
+    "genus": lambda real, p: real(p) + 2,
+    "apery_sum": lambda real, p: real(p) + p.multiplicity,
+    "apery_maximals": lambda real, p: [real(p)[0] + p.b**p.n - 1 - p.a, *real(p)[1:]],
+    # the smallest value moved: the count and the largest value, F, are kept
+    "pseudo_frobenius": lambda real, p: [real(p)[0] + 1, *real(p)[1:]],
+}
+
+
+@pytest.mark.parametrize("triple", HUGE, ids=["a=1", "a=10^1200"])
+@pytest.mark.parametrize("name", list(PLANTED_FAULTS))
+def test_report_catches_a_planted_fault_without_the_oracle(capsys, monkeypatch, name, triple):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oracle, "basic_invariants", no_oracle)
+    real, fault = getattr(closed_form, name), PLANTED_FAULTS[name]
+    monkeypatch.setattr(closed_form, name, lambda p: fault(real, p))
+    with pytest.raises(RouteDisagreementError):
+        closed_form.invariant_report(validate(*triple))
+    a, b, n = map(str, triple)
+    code = main(["report", "-a", a, "-b", b, "-n", n, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["error"], err) == (EXIT_MISMATCH, "route-disagreement", "")
+
+
+def test_apery_sum_is_the_coefficient_form(grid):
+    for p in [*grid, *(validate(*t) for t in HUGE)]:
+        coeffs = closed_form.apery_sum_coefficients(p.b, p.n)
+        assert closed_form.apery_sum(p) == sum(c * g for c, g in zip(coeffs, p.generators()[1:])), p
 
 
 def test_recursive_apery_matches_direct():
