@@ -2,10 +2,10 @@
 numerical semigroups.
 
 Every function here evaluates a formula or an explicit construction in
-O(n)-ish exact integer arithmetic (the Apéry enumerations, two parallel
-tuples of values and lengths, are the lone exception, sized by the
-multiplicity).  The brute-force engine in `oracle` recomputes the same
-invariants from definitions; `verify` pits the two against each other.
+O(n)-ish exact integer arithmetic, except the O(n^3) maximal minors and
+the Apéry enumerations, two parallel tuples of values and lengths sized
+by the multiplicity.  The brute-force engine in `oracle` recomputes the
+same invariants from definitions; `verify` pits the two against each other.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     InvalidParametersError,
     RouteDisagreementError,
     UnsupportedDimensionError,
+    int_text,
 )
 
 DEFAULT_APERY_CAP = 10**6
@@ -28,7 +29,7 @@ AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coe
 def check_cap(m: int, cap: int | None) -> None:
     """Refuse an Apéry enumeration of m coefficient tuples over the cap."""
     if cap is not None and m > cap:
-        raise CapacityError(f"{m} coefficient tuples exceed cap {cap}")
+        raise CapacityError(f"{int_text(m)} coefficient tuples exceed cap {int_text(cap)}")
 
 
 def coefficient_tuples(b: int, i: int, cap: int | None = DEFAULT_APERY_CAP) -> list[tuple[int, ...]]:
@@ -164,7 +165,7 @@ def pseudo_frobenius(params: GrepunitParams) -> list[int]:
     if len(values) != n - 1:
         raise RouteDisagreementError(f"{len(values)} pseudo-Frobenius numbers, expected {n - 1}")
     if values[-1] != frobenius(params):
-        raise RouteDisagreementError(f"largest pseudo-Frobenius number {values[-1]} is not F")
+        raise RouteDisagreementError(f"largest pseudo-Frobenius number {int_text(values[-1])} is not F")
     return values
 
 
@@ -239,71 +240,46 @@ def affine_closure_ok(params: GrepunitParams, members: int, f: int) -> bool:
     return int(src, 2) & ~int(img, 2) == 0
 
 
-class LatticeMatrix(NamedTuple):
-    """(n-1) x n integer matrix whose rows annihilate the generator
-    vector; its rows span the relation lattice of the semigroup."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def annihilates(self, vector: list[int]) -> bool:
-        return all(sum(c * v for c, v in zip(row, vector)) == 0 for row in self.rows)
-
-
-def lattice_matrix(params: GrepunitParams) -> LatticeMatrix:
-    """Relation matrix: rows (0.. b, -(b+1), 1 ..0) sliding right, with
-    last row ((a+1), 0, ..., 0, b, -(b+1)).  Needs n >= 3; the sliding
-    pattern has no two-column form."""
+def lattice_matrix(params: GrepunitParams) -> tuple[tuple[int, ...], ...]:
+    """Relation matrix, as its rows: (0.. b, -(b+1), 1 ..0) sliding right,
+    with last row ((a+1), 0, ..., 0, b, -(b+1)).  The n - 1 rows annihilate
+    the generator vector and span the relation lattice of the semigroup.
+    Needs n >= 3; the sliding pattern has no two-column form."""
     n, b, a = params.n, params.b, params.a
     if n < 3:
         raise UnsupportedDimensionError("lattice matrix needs n >= 3")
-    rows = []
-    for i in range(n - 2):
-        row = [0] * n
-        row[i], row[i + 1], row[i + 2] = b, -(b + 1), 1
-        rows.append(tuple(row))
-    last = [0] * n
-    last[0], last[-2], last[-1] = a + 1, b, -(b + 1)
-    rows.append(tuple(last))
-    return LatticeMatrix(tuple(rows))
+    rows = [(*[0] * i, b, -(b + 1), 1, *[0] * (n - 3 - i)) for i in range(n - 2)]
+    return (*rows, (a + 1, *[0] * (n - 3), b, -(b + 1)))
 
 
-def maximal_minors(matrix: LatticeMatrix) -> list[int]:
-    """Determinants of the matrix with column k deleted, k = 1..n.
+def maximal_minors(matrix: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Determinants of the (n-1) x n matrix A, given as its rows, with
+    column j deleted, j = 1..n: for the lattice matrix their absolute
+    values recover the generators (signs alternate), and their gcd is 1
+    exactly when the parameters are valid.
 
-    Their absolute values recover the generators (signs alternate), and
-    their gcd is 1 exactly when the parameters are valid.
+    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    n x (2n-1) matrix [A^T | I] gives them all: once the n - 1 columns of
+    A^T are cleared, entry j (from 0) of the last row's identity block is
+    sign * det([A^T | e_j]), sign the parity of the row swaps, and that
+    determinant, expanded along its last column, is (-1)**(n-1+j) *
+    minor_j.  A column with no pivot means rank A < n - 1: all minors 0.
     """
-    n = matrix.ncols
-    minors = []
-    for k in range(n):
-        sub = [[row[j] for j in range(n) if j != k] for row in matrix.rows]
-        minors.append(_det_bareiss(sub))
-    return minors
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
+    n = len(matrix) + 1
+    m = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(zip(*matrix))]
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return [0] * n
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        top, p = m[k], m[k][k]
         for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+            f = m[r][k]
+            m[r][k:] = [0] + [(x * p - f * t) // prev for x, t in zip(m[r][k + 1 :], top[k + 1 :])]
+        prev = p
+    return [sign * (-1) ** (n - 1 + j) * e for j, e in enumerate(m[-1][n - 1 :])]
 
 
 class InvariantReport(NamedTuple):
@@ -339,10 +315,12 @@ def invariant_report(params: GrepunitParams) -> InvariantReport:
     total = apery_sum(params)
     selmer = m * g + m * (m - 1) // 2
     if total != selmer:
+        total, selmer = int_text(total), int_text(selmer)
         raise RouteDisagreementError(f"Apéry sum {total} is not m*g + m*(m-1)/2 = {selmer}")
     pf = pseudo_frobenius(params)
     for x, y in zip(pf, sorted(alpha - m for alpha in apery_maximals(params))):
         if x != y:
+            x, y = int_text(x), int_text(y)
             raise RouteDisagreementError(f"pseudo-Frobenius number {x} is not {y}, from the maximals")
     return InvariantReport(
         params=params,

@@ -1,6 +1,16 @@
 """Exception hierarchy shared by the whole package."""
 
 
+def int_text(value: int) -> str:
+    """`str(value)` for an error's note, or the value's sign and size in bits
+    where the interpreter's int-to-str digit limit, lifted by `cli.main`
+    alone, refuses it: a note never fails to format."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 class GrepunitError(Exception):
     """Base class for every error raised by this package."""
 
@@ -14,7 +24,7 @@ class InvalidBaseError(InvalidParametersError):
 
     def __init__(self, b):
         self.b = b
-        super().__init__(f"base b must be >= 2, got {b}")
+        super().__init__(f"base b must be >= 2, got {int_text(b)}")
 
 
 class InvalidLengthError(InvalidParametersError):
@@ -22,7 +32,7 @@ class InvalidLengthError(InvalidParametersError):
 
     def __init__(self, n):
         self.n = n
-        super().__init__(f"length n must be >= 2, got {n}")
+        super().__init__(f"length n must be >= 2, got {int_text(n)}")
 
 
 class InvalidShiftError(InvalidParametersError):
@@ -30,7 +40,7 @@ class InvalidShiftError(InvalidParametersError):
 
     def __init__(self, a):
         self.a = a
-        super().__init__(f"shift a must be >= 1, got {a}")
+        super().__init__(f"shift a must be >= 1, got {int_text(a)}")
 
 
 class NotCoprimeError(InvalidParametersError):
@@ -39,6 +49,7 @@ class NotCoprimeError(InvalidParametersError):
     def __init__(self, a, b, n, gcd):
         self.a, self.b, self.n = a, b, n
         self.gcd = gcd
+        a, b, n, gcd = map(int_text, (a, b, n, gcd))
         super().__init__(
             f"gcd(repunit({b}, {n}), {a}) = {gcd}, must be 1 for "
             f"(a={a}, b={b}, n={n}) to generate a numerical semigroup"

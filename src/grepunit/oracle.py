@@ -25,7 +25,7 @@ import math
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError
+from .errors import CapacityError, NotNumericalSemigroupError, RouteDisagreementError, int_text
 
 DEFAULT_SIEVE_CAP = 10**8
 
@@ -174,9 +174,9 @@ def sieve(sg: GenericSemigroup, bound: int, cap: int = DEFAULT_SIEVE_CAP) -> int
     SIEVE_WINDOW_MIN and by shift-or passes over the whole bound
     (`_closure`) below that.  Both checks come before either build."""
     if bound < max(sg.gens):
-        raise ValueError(f"sieve bound {bound} below largest generator {max(sg.gens)}")
+        raise ValueError(f"sieve bound {int_text(bound)} below largest generator {int_text(sg.gens[-1])}")
     if bound + 1 > cap:
-        raise CapacityError(f"sieve bound {bound} exceeds capacity cap {cap}")
+        raise CapacityError(f"sieve bound {int_text(bound)} exceeds capacity cap {int_text(cap)}")
     build = _window_closure if sg.multiplicity >= SIEVE_WINDOW_MIN else _closure
     return build(sg.gens, bound)
 
@@ -328,8 +328,8 @@ def check_multiplicity(m: int, sieve_cap: int = DEFAULT_SIEVE_CAP) -> None:
     sieve bound is at least 2m - 1."""
     if 2 * m > sieve_cap:
         raise CapacityError(
-            f"multiplicity {m} needs a sieve bound of at least {2 * m - 1}, "
-            f"which exceeds capacity cap {sieve_cap}"
+            f"multiplicity {int_text(m)} needs a sieve bound of at least {int_text(2 * m - 1)}, "
+            f"which exceeds capacity cap {int_text(sieve_cap)}"
         )
 
 
@@ -356,7 +356,9 @@ def basic_invariants(
         windows = apery_windows(sg, top_cap)
         if windows is None:  # an Apéry element lies in window top_cap // m + 1 or above
             least = (top_cap // m + 1) * m + max(sg.gens)
-            raise CapacityError(f"sieve bound of at least {least} exceeds capacity cap {sieve_cap}")
+            raise CapacityError(
+                f"sieve bound of at least {int_text(least)} exceeds capacity cap {int_text(sieve_cap)}"
+            )
         j, last = windows[-1]
         top = j * m + last.bit_length() - 1
         g_apery = sum(j * w.bit_count() for j, w in windows)

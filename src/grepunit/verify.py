@@ -14,6 +14,7 @@ deterministic.
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from . import closed_form, oracle
@@ -197,12 +198,12 @@ def _wilf(params, shared):
 
 
 def _minors(params, shared):
-    matrix = closed_form.lattice_matrix(params)
-    minors = closed_form.maximal_minors(matrix)
+    rows = closed_form.lattice_matrix(params)
+    minors = closed_form.maximal_minors(rows)
     gens = params.generators()
-    alternate = all(minors[i] * minors[i + 1] < 0 for i in range(len(minors) - 1))
-    matched = [abs(m) for m in minors] == gens and alternate and matrix.annihilates(gens)
-    return minors, gens, matched
+    alternate = all(x * y < 0 for x, y in zip(minors, minors[1:]))
+    relations = all(sum(map(mul, row, gens)) == 0 for row in rows)
+    return minors, gens, [abs(m) for m in minors] == gens and alternate and relations
 
 
 def _recursive(params, shared):

@@ -51,6 +51,8 @@ def test_first_generator_is_the_repunit():
     for a, b, n in ((1, 2, 2), (8, 4, 3), (12, 5, 5)):
         p = validate(a, b, n)
         assert p.generator(1) == repunit(b, n)
+    with pytest.raises(ValueError, match="^generator index must be >= 1, got 0$"):
+        p.generator(0)
 
 
 def test_generators_ascending_and_coprime(grid):

@@ -315,6 +315,7 @@ def test_verify_capacity_exit_3(capsys):
 USAGE_ERROR_ARGVS = (
     ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
     ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],
+    ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", ","],
     ["verify", "-a", "1", "-b", "2", "-n", "3", "--cap", "-1"],
     ["report", "-a", "1", "-b", "2", "-n", "3", "--source", "oracle", "--cap", "0"],
     ["sweep", "--a", "1..1", "--b", "2..2", "--n", "2..2", "--checks", "bogus,all"],
@@ -366,6 +367,8 @@ def test_usage_errors_found_after_parsing_honor_json(capsys, argv, message):
 FOUND_WHILE_PARSING = [
     (["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope", "--format", "json"],
      "argument --checks: unknown checks: nope (known: " + ", ".join(CHECK_NAMES) + ")"),
+    (["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", ",", "--format", "json"],
+     "argument --checks: no checks given"),
     (["sweep", "--a", "3..1", "--b", "2", "--n", "2", "--format", "json"],
      "argument --a: empty range '3..1'"),
     (["verify", "-a", "1", "-b", "2", "-n", "3", "--format=json", "--cap", "x"],

@@ -4,10 +4,12 @@ import ast
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +18,6 @@ import grepunit
 from grepunit import closed_form, oracle
 from grepunit.arith import repunit, validate
 from grepunit.cli import EXIT_MISMATCH, main
-from grepunit.closed_form import LatticeMatrix
 from grepunit.errors import (
     CapacityError,
     InvalidBaseError,
@@ -183,6 +184,10 @@ def test_apery_sum_smallest_cases():
     assert closed_form.apery_sum(validate(1, 2, 3)) == 98
     assert sum(closed_form.apery_sum_coefficients(2, 2)) == 3
     assert sum(closed_form.apery_sum_coefficients(2, 3)) == 11
+    with pytest.raises(InvalidBaseError):
+        closed_form.apery_sum_coefficients(1, 3)
+    with pytest.raises(ValueError, match="^need n >= 2, got 1$"):
+        closed_form.apery_sum_coefficients(2, 1)
 
 
 def test_length_sum_matches_enumeration():
@@ -241,7 +246,8 @@ def test_closed_form_identities_at_huge_size():
             assert b * gen(i) + gen(i + j) == b * gen(i + j - 1) + gen(i + 1)
         for i in (1, 2, n):
             assert gen(n + i) == gen(i) + a * b ** (i - 1) * p.multiplicity
-        assert closed_form.lattice_matrix(p).annihilates(p.generators())
+        gens = p.generators()
+        assert all(sum(map(mul, row, gens)) == 0 for row in closed_form.lattice_matrix(p))
 
 
 # one-line faults that keep every other closed formula as it is
@@ -409,20 +415,24 @@ def test_affine_closure_fails_on_a_broken_generator_identity():
     assert not closed_form.affine_closure_ok(fake([3, 9]), members, f)
 
 
+def annihilates(rows, vector) -> bool:
+    return all(sum(map(mul, row, vector)) == 0 for row in rows)
+
+
 def test_lattice_matrix_golden():
-    matrix = closed_form.lattice_matrix(GOLDEN)
-    assert matrix.rows == (
+    rows = closed_form.lattice_matrix(GOLDEN)
+    assert rows == (
         (3, -4, 1, 0),
         (0, 3, -4, 1),
         (4, 0, 3, -4),
     )
-    assert matrix.annihilates(GOLDEN.generators())
+    assert annihilates(rows, GOLDEN.generators())
 
 
 def test_lattice_matrix_smallest():
-    matrix = closed_form.lattice_matrix(validate(1, 2, 3))
-    assert matrix.rows == ((2, -3, 1), (2, 2, -3))
-    assert matrix.annihilates((7, 8, 10))
+    rows = closed_form.lattice_matrix(validate(1, 2, 3))
+    assert rows == ((2, -3, 1), (2, 2, -3))
+    assert annihilates(rows, (7, 8, 10))
 
 
 def test_lattice_matrix_rejects_two_generators():
@@ -443,9 +453,47 @@ def test_maximal_minors_smallest():
 
 
 def test_maximal_minors_small_matrices():
-    assert closed_form.maximal_minors(LatticeMatrix(((1, 0, 2), (0, 1, 3)))) == [-2, 3, 1]
+    assert closed_form.maximal_minors(((1, 0, 2), (0, 1, 3))) == [-2, 3, 1]
     # zero leading pivot forces the row-swap path
-    assert closed_form.maximal_minors(LatticeMatrix(((0, 1, 4), (1, 0, 2)))) == [2, -4, -1]
+    assert closed_form.maximal_minors(((0, 1, 4), (1, 0, 2))) == [2, -4, -1]
+    assert closed_form.maximal_minors(((5, 7),)) == [7, 5]
+    assert closed_form.maximal_minors(((1, 2, 3), (2, 4, 6))) == [0, 0, 0]  # rank 1
+
+
+def laplace_det(m) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0]) if x
+    )
+
+
+def test_maximal_minors_match_cofactor_expansion():
+    # seeded random (n-1) x n matrices, n = 2..7, with many zero entries;
+    # every fourth has a row that is the sum of two others, so rank < n - 1
+    rng = random.Random(20260420)
+    swaps = deficient = 0
+    for t in range(2400):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n - 1)]
+        if n >= 4 and t % 4 == 0:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        expected = [laplace_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n)]
+        assert closed_form.maximal_minors(tuple(map(tuple, rows))) == expected, rows
+        swaps += rows[0][0] == 0 and any(expected)
+        deficient += not any(expected)
+    assert swaps > 200 and deficient > 200
+
+
+def test_lattice_minors_at_n_128():
+    p = validate(1, 2, 128)
+    rows = closed_form.lattice_matrix(p)
+    minors = closed_form.maximal_minors(rows)
+    assert [abs(x) for x in minors] == p.generators()
+    assert all(x * y < 0 for x, y in zip(minors, minors[1:]))
+    assert annihilates(rows, p.generators())
 
 
 def test_invariant_report_golden():

@@ -72,6 +72,8 @@ def test_sieve_membership():
 def test_sieve_cap():
     with pytest.raises(CapacityError):
         oracle.sieve(sg(2, 3), 100, cap=10)
+    with pytest.raises(ValueError, match="^sieve bound 19 below largest generator 20$"):
+        oracle.sieve(sg(6, 9, 20), 19)
 
 
 def test_apery_set_of_mcnugget_semigroup():
@@ -99,6 +101,8 @@ def test_apery_set_modulo_other_members():
 def test_apery_needs_member_modulus():
     with pytest.raises(ValueError):
         oracle.apery_set(sg(6, 9, 20), 7)
+    with pytest.raises(ValueError, match="^need a positive element, got 0$"):
+        oracle.apery_set(sg(6, 9, 20), 0)
 
 
 def test_capacity_refused_before_the_apery_stage(monkeypatch):

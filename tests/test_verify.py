@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 from grepunit import closed_form, oracle, verify
 from grepunit.arith import repunit, validate
 from grepunit.closed_form import frobenius, invariant_report
-from grepunit.errors import RouteDisagreementError, UnsupportedDimensionError
+from grepunit.errors import (
+    CapacityError,
+    InvalidShiftError,
+    NotCoprimeError,
+    RouteDisagreementError,
+    UnsupportedDimensionError,
+)
 from grepunit.verify import (
     CHECK_NAMES,
     CHECKS,
@@ -335,6 +342,53 @@ def test_oracle_report_apery_sum_is_the_element_sum_of_the_mask(grid):
         assert oracle_report(p).apery_sum == sum(oracle._set_bits(mask))
 
 
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, which library
+    callers run under (only `cli.main` lifts it), restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_notes_on_huge_values_format_under_the_digit_limit(default_digit_limit, monkeypatch):
+    huge = validate(1, 10, 5000)  # m has 5000 digits, 16607 bits
+    rows = run_checks(huge)
+    assert [r.status for r in rows] == [STATUS_SKIPPED_CAPACITY] * 10
+    assert rows[0].note == (
+        "multiplicity <int of 16607 bits> needs a sieve bound of at least <int of 16608 bits>, "
+        "which exceeds capacity cap 100000000"
+    )
+    gap = oracle.GenericSemigroup((3, 2**40000 + 1))
+    big = 10**5000  # 16610 bits
+    refusals = [
+        (CapacityError, "^multiplicity <int of 16607 bits>", lambda: oracle_report(huge)),
+        (CapacityError, "^<int of 16607 bits> coefficient tuples", lambda: closed_form.apery_set(huge)),
+        (CapacityError, "^<int of 16607 bits> coefficient", lambda: closed_form.coefficient_tuples(10, 5000)),
+        (InvalidShiftError, "^shift a must be >= 1, got -<int of 16610 bits>$", lambda: validate(-big, 10, 3)),
+        (NotCoprimeError, r"^gcd\(repunit\(10, 3\), <int of 16612 bits>\) = 3", lambda: validate(3 * big, 10, 3)),
+        (CapacityError, "^sieve bound <int of 40002 bits> exceeds", lambda: oracle.basic_invariants(gap)),
+    ]
+    for error, note, call in refusals:
+        with pytest.raises(error, match=note):
+            call()
+    # planted faults in the closed-form cross-checks, at the same size
+    real_sum, real_maximals, real_f = closed_form.apery_sum, closed_form.apery_maximals, closed_form.frobenius
+    monkeypatch.setattr(closed_form, "apery_sum", lambda p: real_sum(p) + 1)
+    with pytest.raises(RouteDisagreementError, match="^Apéry sum <int of .* = <int of"):
+        invariant_report(huge)
+    monkeypatch.setattr(closed_form, "apery_sum", real_sum)
+    monkeypatch.setattr(closed_form, "apery_maximals", lambda p: [x + 1 for x in real_maximals(p)])
+    with pytest.raises(RouteDisagreementError, match="^pseudo-Frobenius number <int of .* is not <int of"):
+        invariant_report(huge)
+    monkeypatch.setattr(closed_form, "frobenius", lambda p: real_f(p) + 1)
+    with pytest.raises(RouteDisagreementError, match="^largest pseudo-Frobenius number <int of .* is not F$"):
+        closed_form.pseudo_frobenius(huge)
+
+
 def test_oracle_report_builds_the_minimal_generators_once(monkeypatch):
     calls = []
     real = oracle.minimal_generators
@@ -350,17 +404,21 @@ def test_records_refuse_attribute_assignment():
     inv = bundle.invariants
     records = (
         p, inv.semigroup, inv, oracle.wilf_data(inv, bundle.pseudo_frobenius),
-        closed_form.lattice_matrix(p), invariant_report(p),
-        run_checks(p, ("frobenius",))[0], bundle,
+        invariant_report(p), run_checks(p, ("frobenius",))[0], bundle,
         SweepSpec(a_range=(1, 1), b_range=(2, 2), n_range=(2, 2)),
     )
-    assert len({type(r) for r in records}) == 9
+    assert len({type(r) for r in records}) == 8
     for record in records:
         name = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
             record.extra = 1
+    rows = closed_form.lattice_matrix(p)  # a tuple of tuples, with no record type of its own
+    with pytest.raises(TypeError):
+        rows[0] = rows[0]
+    with pytest.raises(TypeError):
+        rows[0][0] = rows[0][0]
 
 
 def test_sweep_smallest_grid():
