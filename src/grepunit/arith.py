@@ -15,6 +15,7 @@ from .errors import (
     InvalidLengthError,
     InvalidShiftError,
     NotCoprimeError,
+    int_text,
 )
 
 
@@ -26,7 +27,7 @@ def repunit(b: int, length: int) -> int:
     if b < 2:
         raise InvalidBaseError(b)
     if length < 0:
-        raise ValueError(f"repunit length must be >= 0, got {length}")
+        raise ValueError(f"repunit length must be >= 0, got {int_text(length)}")
     return (b**length - 1) // (b - 1)
 
 
@@ -64,7 +65,7 @@ class GrepunitParams(NamedTuple("GrepunitParams", [("a", int), ("b", int), ("n",
     def generator(self, i: int) -> int:
         """a_i for any i >= 1; indices beyond n extend by the same formula."""
         if i < 1:
-            raise ValueError(f"generator index must be >= 1, got {i}")
+            raise ValueError(f"generator index must be >= 1, got {int_text(i)}")
         return repunit(self.b, self.n) + self.a * repunit(self.b, i - 1)
 
     def generators(self) -> list[int]:

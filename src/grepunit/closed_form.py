@@ -3,13 +3,14 @@ numerical semigroups.
 
 Every function here evaluates a formula or an explicit construction in
 O(n)-ish exact integer arithmetic, except the O(n^3) maximal minors and
-the Apéry enumerations, two parallel tuples of values and lengths sized
-by the multiplicity.  The brute-force engine in `oracle` recomputes the
+the Apéry enumerations, whose values, grouped by factorization length,
+number the multiplicity.  The brute-force engine in `oracle` recomputes the
 same invariants from definitions; `verify` pits the two against each other.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .arith import GrepunitParams, repunit, validate
@@ -23,7 +24,7 @@ from .errors import (
 )
 
 DEFAULT_APERY_CAP = 10**6
-AperySet = tuple[tuple[int, ...], tuple[int, ...]]  # (values, lengths), per coefficient tuple
+AperySet = tuple[tuple[int, ...], ...]  # group k: the values of the coefficient tuples of sum k
 
 
 def check_cap(m: int, cap: int | None) -> None:
@@ -47,59 +48,53 @@ def coefficient_tuples(b: int, i: int, cap: int | None = DEFAULT_APERY_CAP) -> l
     count = repunit(b, i)
     check_cap(count, cap)
 
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(all_zero: bool) -> None:
-        if len(prefix) == i - 1:
-            out.append(tuple(prefix))
-            return
-        top = b if all_zero else b - 1
-        for u in range(top + 1):
-            prefix.append(u)
-            extend(all_zero and u == 0)
-            prefix.pop()
-
-    extend(True)
+    out: list[tuple[int, ...]] = [()]
+    for length in range(i - 1):  # prepend an entry: 0 to any tuple, 1..b to one with no entry b
+        free = list(product(range(b), repeat=length))  # those with no entry b
+        out = [(0, *t) for t in out] + [(u, *t) for u in range(1, b + 1) for t in free]
     if len(out) != count:
         raise RouteDisagreementError(f"{len(out)} coefficient tuples, expected repunit = {count}")
     return out
 
 
-def _extend(values: list[int], lengths: list[int], g: int, b: int) -> tuple[list[int], list[int]]:
+def _extend(groups: list[list[int]], g: int, b: int) -> list[list[int]]:
     """Append a coefficient u of the generator g to every coefficient
-    tuple: each tuple takes u = 0..b-1, and the all-zero tuple, always
-    first, also takes u = b, which lands at index b."""
-    steps = [u * g for u in range(b)]
-    values = [v + s for v in values for s in steps]
-    lengths = [k + u for k in lengths for u in range(b)]
-    values.insert(b, b * g)
-    lengths.insert(b, b)
-    return values, lengths
+    tuple: group k also goes to group k + u shifted by u*g, for u = 1..b-1,
+    and the all-zero tuple also takes u = b, so b*g joins group b."""
+    out = [[] for _ in range(max(len(groups) + b - 1, b + 1))]
+    for k, group in enumerate(groups):
+        out[k] += group
+        for u in range(1, b):
+            step = u * g
+            out[k + u] += [v + step for v in group]
+    out[b].append(b * g)
+    return out
 
 
-def _residue_system(m: int, values: list[int], lengths: list[int]) -> AperySet:
-    """(values, lengths) as tuples, once the values are found to be m
-    integers, 0 among them, one per residue class mod m: a construction
+def _residue_system(m: int, groups: list[list[int]]) -> AperySet:
+    """The groups as tuples, once they are found to hold m integers, one
+    per residue class mod m, with group 0 equal to [0]: a construction
     that repeats or misses a class is wrong, and fails loudly."""
-    hit = bytearray(m)
-    for v in values:
-        hit[v % m] = 1
-    if len(values) != m or 0 not in values or hit.count(0):
-        raise RouteDisagreementError(f"{len(values)} values, not a residue system mod {m} with 0")
-    return tuple(values), tuple(lengths)
+    hit, size = bytearray(m), 0
+    for group in groups:
+        size += len(group)
+        for v in group:
+            hit[v % m] = 1
+    if size != m or groups[0] != [0] or hit.count(0):
+        raise RouteDisagreementError(f"{size} values, not a residue system mod {m} with 0")
+    return tuple(map(tuple, groups))
 
 
 def apery_set(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set with respect to the multiplicity a_1, built directly one
-    generator a_j at a time: the value sum(u_j * a_j) and factorization
-    length sum(u_j) of each coefficient tuple, in `coefficient_tuples`
-    order."""
+    generator a_j at a time and grouped by factorization length: group k
+    holds the values sum(u_j * a_j) of the coefficient tuples with
+    sum(u_j) = k."""
     check_cap(params.multiplicity, cap)
-    values, lengths = [0], [0]
+    groups = [[0]]
     for g in params.generators()[1:]:
-        values, lengths = _extend(values, lengths, g, params.b)
-    return _residue_system(params.multiplicity, values, lengths)
+        groups = _extend(groups, g, params.b)
+    return _residue_system(params.multiplicity, groups)
 
 
 def frobenius(params: GrepunitParams) -> int:
@@ -182,7 +177,7 @@ def apery_maximals(params: GrepunitParams) -> list[int]:
 
 def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1), in
-    the order of `apery_set`.
+    the groups and order of `apery_set`.
 
     Each element w of the smaller set, of length k, lifts to
     w + b**(n-1)*k + u*a_n of length k + u for u = 0..b-1; the single
@@ -197,11 +192,11 @@ def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_
     except InvalidParametersError as exc:
         raise UnsupportedDimensionError(f"smaller triple invalid: {exc}") from exc
     check_cap(params.multiplicity, cap)
-    values, lengths = apery_set(prev, cap=cap)
     shift = params.b ** (params.n - 1)
-    values = [v + shift * k for v, k in zip(values, lengths)]
-    values, lengths = _extend(values, lengths, params.generators()[-1], params.b)
-    return _residue_system(params.multiplicity, values, lengths)
+    base = apery_set(prev, cap=cap)
+    groups = [[v + step for v in group] for step, group in zip(range(0, len(base) * shift, shift), base)]
+    groups = _extend(groups, params.generators()[-1], params.b)
+    return _residue_system(params.multiplicity, groups)
 
 
 def affine_closure_ok(params: GrepunitParams, members: int, f: int) -> bool:

@@ -41,12 +41,12 @@ class GenericSemigroup(NamedTuple("GenericSemigroup", [("gens", tuple[int, ...])
             raise NotNumericalSemigroupError("empty generating set")
         if not (gens[0] > 0 and all(map(lt, gens, gens[1:]))):  # one pairwise scan
             if any(g <= 0 for g in gens):
-                raise NotNumericalSemigroupError(f"generators must be positive: {gens}")
-            raise NotNumericalSemigroupError(f"generators must be ascending and distinct: {gens}")
+                raise NotNumericalSemigroupError(f"generators must be positive: {_gens_text(gens)}")
+            raise NotNumericalSemigroupError(f"generators must be ascending and distinct: {_gens_text(gens)}")
         g = math.gcd(*gens)
         if g != 1:
             raise NotNumericalSemigroupError(
-                f"gcd{gens} = {g}, must be 1 for the complement to be finite"
+                f"gcd{_gens_text(gens)} = {int_text(g)}, must be 1 for the complement to be finite"
             )
         return super().__new__(cls, gens)
 
@@ -59,6 +59,11 @@ class GenericSemigroup(NamedTuple("GenericSemigroup", [("gens", tuple[int, ...])
     @property
     def multiplicity(self) -> int:
         return self.gens[0]
+
+
+def _gens_text(gens: tuple[int, ...]) -> str:
+    """`str(gens)` for an error's note, each value through `int_text`."""
+    return f"({', '.join(map(int_text, gens))}{',' * (len(gens) == 1)})"
 
 
 def _closure(gens, bound: int) -> int:
@@ -194,7 +199,7 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
     if q <= 0:
         raise ValueError(f"need a positive element, got {q}")
     if q not in sg.gens and not _closure(sg.gens, q) >> q & 1:  # a generator needs no closure
-        raise ValueError(f"{q} is not an element of the semigroup {sg.gens}")
+        raise ValueError(f"{int_text(q)} is not an element of the semigroup {_gens_text(sg.gens)}")
     unreached = q * sum(sg.gens) + 1  # above every sum the walk below forms
     best = [unreached] * q
     best[0] = 0

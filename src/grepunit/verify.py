@@ -13,7 +13,7 @@ deterministic.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -118,9 +118,9 @@ def oracle_report(
 
 class _Shared:
     """What the checks of one triple share: its oracle bundle, and the
-    closed-form Apéry set of a_1 and the digest of its sorted values, both
-    built on first use.  The bundle admits only 2m within the cap, so the
-    set needs no cap of its own."""
+    closed-form Apéry set of a_1, grouped by length, and the digest of its
+    sorted values, both built on first use.  The bundle admits only 2m
+    within the cap, so the set needs no cap of its own."""
 
     __slots__ = ("params", "bundle", "_apery", "_digest")
 
@@ -135,7 +135,7 @@ class _Shared:
 
     def digest(self) -> dict:
         if self._digest is None:
-            self._digest = _digest(sorted(self.apery()[0]))
+            self._digest = _digest(sorted(chain.from_iterable(self.apery())))
         return self._digest
 
 
@@ -153,11 +153,10 @@ def _genus(params, shared):
 
 
 def _apery(params, shared):
-    closed_values = shared.apery()[0]
-    apery_mask = shared.bundle.invariants.apery_mask
-    same = oracle._mask_of(closed_values, max(closed_values)) == apery_mask
-    matched = same and closed_form.apery_sum(params) == sum(closed_values)
     digest = shared.digest()
+    apery_mask = shared.bundle.invariants.apery_mask
+    same = oracle._mask_of(chain.from_iterable(shared.apery()), digest["max"]) == apery_mask
+    matched = same and closed_form.apery_sum(params) == digest["sum"]
     return digest, digest if same else _digest(oracle._set_bits(apery_mask)), matched
 
 
@@ -170,18 +169,14 @@ def _type(params, shared):
 
 
 def _homogeneous(params, shared):
-    values, lengths = shared.apery()  # one (value, length) per coefficient tuple
-    groups = [[] for _ in range(max(lengths) + 1)]
-    for w, k in zip(values, lengths):
-        groups[k].append(w)
     # The m closed values lie in distinct classes and each level lies in
-    # Ap(S, m), so levels equal to the groups make the closed set Ap(S, m)
-    # with one length per element.  A list, not all(): every level is read,
-    # so the oracle's reachability error reaches the row.
+    # Ap(S, m), so level k equal to closed group k, for every k, makes the
+    # closed set Ap(S, m) with one length per element.  A list, not all():
+    # every level is read, so the oracle's reachability error reaches the row.
     levels = oracle.apery_levels(shared.bundle.invariants)
     result = all([
         level == oracle._mask_of(group, max(group, default=0))
-        for level, group in zip_longest(levels, groups, fillvalue=[])
+        for level, group in zip_longest(levels, shared.apery(), fillvalue=())
     ])
     return True, result, result
 
@@ -208,10 +203,9 @@ def _minors(params, shared):
 
 def _recursive(params, shared):
     lifted = closed_form.apery_set_recursive(params, cap=None)
-    # both come in coefficient-tuple order, so the (values, lengths)
-    # tuples compare as they are, lengths included
+    # both come in the same groups and order, so they compare as they are
     same = lifted == shared.apery()
-    return shared.digest(), shared.digest() if same else _digest(sorted(lifted[0])), same
+    return shared.digest(), shared.digest() if same else _digest(sorted(chain.from_iterable(lifted))), same
 
 
 def _affine(params, shared):

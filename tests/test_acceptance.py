@@ -7,6 +7,7 @@ prints one PASS/FAIL line (bypassing capture) as it completes.
 
 import contextlib
 import time
+from itertools import chain
 from operator import mul
 
 import pytest
@@ -75,14 +76,14 @@ def test_criterion_03_cardinalities(announce, grid):
             for i in range(2, 8):
                 assert len(closed_form.coefficient_tuples(b, i)) == repunit(b, i)
         for p in grid:
-            assert len(closed_form.apery_set(p)[0]) == p.multiplicity
+            assert sum(map(len, closed_form.apery_set(p))) == p.multiplicity
 
 
 def test_criterion_04_selmer_consistency(announce, grid):
     with announce(4, "Selmer identities on closed-form values"):
         for p in grid:
             m = p.multiplicity
-            values, _ = closed_form.apery_set(p)
+            values = [*chain.from_iterable(closed_form.apery_set(p))]
             f = closed_form.frobenius(p)
             g = closed_form.genus(p)
             total = closed_form.apery_sum(p)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import chain
 from pathlib import Path
 from operator import mul
 from types import SimpleNamespace
@@ -77,22 +78,23 @@ def test_coefficient_tuples_cap_and_args():
 
 
 def test_apery_set_golden():
-    values, lengths = closed_form.apery_set(GOLDEN)
+    groups = closed_form.apery_set(GOLDEN)
+    values = [*chain.from_iterable(groups)]
     assert sorted(values) == GOLDEN_APERY
-    assert len(values) == len(lengths) == GOLDEN.multiplicity
+    assert len(values) == GOLDEN.multiplicity
+    assert [sorted(group) for group in groups[:2]] == [[0], [43, 52, 79]]  # zero, and the generators but m
     assert sum(values) == 7980
     assert max(values) == 391
 
 
 def test_apery_set_smallest():
     # <3, 4>: the nonzero classes mod 3 are reached by 4 and 8
-    values, _ = closed_form.apery_set(validate(1, 2, 2))
-    assert sorted(values) == [0, 4, 8]
+    assert closed_form.apery_set(validate(1, 2, 2)) == ((0,), (4,), (8,))
 
 
 def test_apery_set_three_generators():
     # <7, 8, 10>: least member of each class mod 7
-    values, _ = closed_form.apery_set(validate(1, 2, 3))
+    values = [*chain.from_iterable(closed_form.apery_set(validate(1, 2, 3)))]
     assert sorted(values) == [0, 8, 10, 16, 18, 20, 26]
     assert sum(values) == 98
 
@@ -103,31 +105,44 @@ def test_apery_elements_carry_their_factorization(grid):
         if (p.b, p.n) not in tuples:
             tuples[p.b, p.n] = closed_form.coefficient_tuples(p.b, p.n)
         gens = p.generators()[1:]
-        expected_values = tuple(sum(u * g for u, g in zip(t, gens)) for t in tuples[p.b, p.n])
-        expected_lengths = tuple(map(sum, tuples[p.b, p.n]))
-        assert closed_form.apery_set(p) == (expected_values, expected_lengths), p
+        expected = [[] for _ in range(max(map(sum, tuples[p.b, p.n])) + 1)]
+        for t in tuples[p.b, p.n]:
+            expected[sum(t)].append(sum(u * g for u, g in zip(t, gens)))
+        # every value in its length's group, and no group empty or left over
+        assert [sorted(group) for group in closed_form.apery_set(p)] == [*map(sorted, expected)], p
+        assert all(expected), p
 
 
 def test_residue_check_accepts_full_residue_system():
-    closed_form._residue_system(3, [0, 7, 8], [])
-    closed_form._residue_system(4, [9, 0, 18, 27], [])
+    assert closed_form._residue_system(3, [[0], [7, 8]]) == ((0,), (7, 8))
+    assert closed_form._residue_system(4, [[0], [9], [], [18, 27]]) == ((0,), (9,), (), (18, 27))
 
 
 def test_residue_check_rejects_duplicate_residue():
     with pytest.raises(RouteDisagreementError):
-        closed_form._residue_system(3, [0, 7, 10], [])
+        closed_form._residue_system(3, [[0], [7, 10]])
 
 
 def test_residue_check_rejects_wrong_count():
     with pytest.raises(RouteDisagreementError):
-        closed_form._residue_system(3, [0, 7], [])
+        closed_form._residue_system(3, [[0], [7]])
     with pytest.raises(RouteDisagreementError):
-        closed_form._residue_system(3, [0, 7, 8, 9], [])
+        closed_form._residue_system(3, [[0], [7, 8], [9]])
 
 
 def test_residue_check_rejects_nonzero_class_zero():
     with pytest.raises(RouteDisagreementError):
-        closed_form._residue_system(3, [3, 7, 8], [])
+        closed_form._residue_system(3, [[3], [7, 8]])
+
+
+def test_residue_check_keeps_zero_alone_in_group_zero():
+    # a full residue system either way, but 0 has length 0 and nothing else does
+    with pytest.raises(RouteDisagreementError, match="^3 values, not a residue system mod 3 with 0$"):
+        closed_form._residue_system(3, [[7], [0, 8]])
+    with pytest.raises(RouteDisagreementError, match="^3 values, not a residue system mod 3 with 0$"):
+        closed_form._residue_system(3, [[0, 7], [8]])
+    with pytest.raises(RouteDisagreementError):
+        closed_form._residue_system(3, [[0], [7, 0]])
 
 
 def colliding(params):
@@ -199,7 +214,7 @@ def test_length_sum_matches_enumeration():
 def test_apery_sum_matches_enumeration():
     for a, b, n in ((1, 2, 4), (7, 3, 3), (11, 5, 2)):
         p = validate(a, b, n)
-        assert closed_form.apery_sum(p) == sum(closed_form.apery_set(p)[0])
+        assert closed_form.apery_sum(p) == sum(chain.from_iterable(closed_form.apery_set(p)))
 
 
 def test_one_pass_sums_match_the_direct_formulas(grid):
@@ -331,8 +346,8 @@ def test_homogeneous_compares_the_values_too(monkeypatch):
     real = closed_form.apery_set
 
     def moved(params, cap):
-        values, lengths = real(params, cap)
-        return (0, values[1] + params.multiplicity, *values[2:]), lengths
+        zero, (first, *rest), *groups = real(params, cap)
+        return (zero, (first + params.multiplicity, *rest), *groups)
 
     monkeypatch.setattr(closed_form, "apery_set", moved)
     assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
@@ -357,7 +372,8 @@ def test_run_checks_builds_the_closed_apery_set_once(monkeypatch):
     assert [r.status for r in rows] == ["match"] * 3
     # the recursive lift builds its smaller triple's set for itself
     assert built == [GOLDEN, validate(3, 3, 3)]
-    assert [type(part) for part in real(GOLDEN)] == [tuple, tuple]
+    groups = real(GOLDEN)
+    assert type(groups) is tuple and {type(group) for group in groups} == {tuple}
 
 
 def test_every_exported_name_resolves():

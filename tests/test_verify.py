@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -201,27 +202,22 @@ def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
 def test_closed_length_past_the_top_level_is_a_mismatch_row(monkeypatch):
     # one element's length raised past the top level leaves a closed
     # group that no oracle level answers
-    real = closed_form.apery_set
-
-    def raised(params, cap):
-        values, lengths = real(params, cap)
-        return values, (*lengths[:-1], max(lengths) + 1)
-
-    monkeypatch.setattr(closed_form, "apery_set", raised)
+    monkeypatch.setattr(closed_form, "apery_set", functools.partial(one_length_off, closed_form.apery_set))
     row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
     assert (row.closed, row.oracle, row.status, row.note) == (True, False, STATUS_MISMATCH, "")
 
 
 def same_sum_other_values(real, params, cap):
     # one value up by m and one down by m: the same residues, size and sum
-    values, lengths = real(params, cap=cap)
+    zero, (first, second, *rest), *groups = real(params, cap=cap)
     m = params.multiplicity
-    return (0, values[1] + m, values[2] - m, *values[3:]), lengths
+    return (zero, (first + m, second - m, *rest), *groups)
 
 
 def one_length_off(real, params, cap):
-    values, lengths = real(params, cap=cap)
-    return values, (*lengths[:-1], lengths[-1] + 1)
+    # the last value of the top group moved to a new group past it
+    *groups, (*top, last) = real(params, cap=cap)
+    return (*groups, tuple(top), (last,))
 
 
 def absolute_minors(real, matrix):
@@ -313,7 +309,7 @@ def test_apery_and_recursive_share_one_digest_of_the_closed_set(monkeypatch):
     rows = run_checks(p, ("apery", "recursive"))
     assert [r.status for r in rows] == [STATUS_MATCH, STATUS_MATCH]
     assert rows[0].closed == rows[0].oracle == rows[1].closed == rows[1].oracle
-    assert digested == [sorted(closed_form.apery_set(p)[0])]
+    assert digested == [sorted(chain.from_iterable(closed_form.apery_set(p)))]
 
 
 def test_oracle_report_agrees_with_closed_report():
@@ -371,6 +367,16 @@ def test_notes_on_huge_values_format_under_the_digit_limit(default_digit_limit, 
         (InvalidShiftError, "^shift a must be >= 1, got -<int of 16610 bits>$", lambda: validate(-big, 10, 3)),
         (NotCoprimeError, r"^gcd\(repunit\(10, 3\), <int of 16612 bits>\) = 3", lambda: validate(3 * big, 10, 3)),
         (CapacityError, "^sieve bound <int of 40002 bits> exceeds", lambda: oracle.basic_invariants(gap)),
+        (ValueError, r"^generators must be positive: \(0, <int of 16610 bits>\)$",
+         lambda: oracle.GenericSemigroup((0, big))),
+        (ValueError, r"^generators must be ascending and distinct: \(<int of 16610 bits>, 3\)$",
+         lambda: oracle.GenericSemigroup((big, 3))),
+        (ValueError, r"^gcd\(<int of 16610 bits>, <int of 16611 bits>\) = <int of 16610 bits>, must be 1 ",
+         lambda: oracle.GenericSemigroup((big, 2 * big))),
+        (ValueError, r"^5 is not an element of the semigroup \(<int of 16610 bits>, <int of 16610 bits>\)$",
+         lambda: oracle.apery_set(oracle.GenericSemigroup((big, big + 1)), 5)),
+        (ValueError, "^repunit length must be >= 0, got -<int of 16610 bits>$", lambda: repunit(10, -big)),
+        (ValueError, "^generator index must be >= 1, got -<int of 16610 bits>$", lambda: huge.generator(-big)),
     ]
     for error, note, call in refusals:
         with pytest.raises(error, match=note):
