@@ -318,56 +318,54 @@ def cmd_sweep(args) -> int:
     return EXIT_MISMATCH if summary[STATUS_MISMATCH] else EXIT_OK
 
 
+# each subcommand's help line in the full tree, and the function that runs it
+SUBCOMMANDS = {
+    "report": ("all invariants of one semigroup", cmd_report),
+    "verify": ("closed formulas vs oracle on one semigroup", cmd_verify),
+    "sweep": ("verify over an inclusive parameter grid", cmd_sweep),
+}
+
+
+def add_options(p: Parser, command: str) -> Parser:
+    """Define `command`'s options on `p`, its parser in the full tree or its lone parser."""
+    ranges = command == "sweep"
+    for flag in ("--a", "--b", "--n") if ranges else ("-a", "-b", "-n"):
+        p.add_argument(flag, type=parse_range if ranges else int, required=True,
+                       metavar="LO..HI" if ranges else None)
+    if command == "report":
+        p.add_argument("--source", choices=("closed", "oracle"), default="closed",
+                       help="compute via closed formulas (default) or brute force")
+    else:
+        p.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
+                       metavar="NAMES", help="comma-separated check names, or 'all'")
+    if ranges:
+        p.add_argument("--no-skip-invalid", action="store_true",
+                       help="fail on invalid triples instead of recording them")
+    p.add_argument("--cap", type=int, default=DEFAULT_SIEVE_CAP, metavar="N",
+                   help="capacity cap on the oracle's sieve, which bounds every check (default: %(default)s)")
+    p.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.set_defaults(func=SUBCOMMANDS[command][1], parser=p)  # its parser reports its usage errors
+    return p
+
+
 def build_parser(command: Optional[str] = None) -> Parser:
-    """The CLI's parser.  Every subcommand is created with its name and help,
-    which are all that argparse shows of one it does not run; when `command`
-    names a subcommand, only that one's options are defined.  With no
-    argument, or any other value, every subcommand is built in full."""
+    """The lone parser of the subcommand that `command` names exactly: its parser
+    built on its own, with the prog, options, usage and help it has in the full
+    tree.  With no argument, or any other value, the full tree."""
+    if command in SUBCOMMANDS:
+        return add_options(Parser(prog=f"grepunit {command}"), command)
     parser = Parser(prog="grepunit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in ("report", "verify", "sweep")
-
-    def common(p, func):
-        p.add_argument("--cap", type=int, default=DEFAULT_SIEVE_CAP, metavar="N",
-                       help="capacity cap on the oracle's sieve, which bounds every check "
-                            "(default: %(default)s)")
-        p.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.set_defaults(func=func, parser=p)  # the subcommand's parser reports its usage errors
-
-    rep = sub.add_parser("report", help="all invariants of one semigroup")
-    if every or command == "report":
-        rep.add_argument("-a", type=int, required=True)
-        rep.add_argument("-b", type=int, required=True)
-        rep.add_argument("-n", type=int, required=True)
-        rep.add_argument("--source", choices=("closed", "oracle"), default="closed",
-                         help="compute via closed formulas (default) or brute force")
-        common(rep, cmd_report)
-
-    ver = sub.add_parser("verify", help="closed formulas vs oracle on one semigroup")
-    if every or command == "verify":
-        ver.add_argument("-a", type=int, required=True)
-        ver.add_argument("-b", type=int, required=True)
-        ver.add_argument("-n", type=int, required=True)
-        ver.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
-                         metavar="NAMES", help="comma-separated check names, or 'all'")
-        common(ver, cmd_verify)
-
-    swp = sub.add_parser("sweep", help="verify over an inclusive parameter grid")
-    if every or command == "sweep":
-        swp.add_argument("--a", type=parse_range, required=True, metavar="LO..HI")
-        swp.add_argument("--b", type=parse_range, required=True, metavar="LO..HI")
-        swp.add_argument("--n", type=parse_range, required=True, metavar="LO..HI")
-        swp.add_argument("--checks", type=parse_checks, default=CHECK_NAMES,
-                         metavar="NAMES", help="comma-separated check names, or 'all'")
-        swp.add_argument("--no-skip-invalid", action="store_true",
-                         help="fail on invalid triples instead of recording them")
-        common(swp, cmd_sweep)
+    for name, (help_line, _) in SUBCOMMANDS.items():
+        add_options(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one CLI call on `argv` (any iterable, read once; default sys.argv[1:]); return its exit code.
+    A named subcommand is parsed by its lone parser, and only the full tree reports leftovers."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # exact values of any size: lift the int-to-str digit limit for this run only
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -375,8 +373,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = None  # still None when --help or --version fails to write while parsing
     try:
-        # argparse reads only the subparser that the first argument names
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        if argv and argv[0] in SUBCOMMANDS:  # its lone parser reads the rest, as the tree's would
+            args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or extras:  # none named, or leftovers, whose error only the full tree writes
+            args = build_parser().parse_args(argv)
         if args.cap < 1:
             args.parser.error(f"argument --cap: must be a positive integer, got {args.cap}")
         return args.func(args)

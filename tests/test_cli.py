@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -409,19 +410,33 @@ def test_usage_errors_take_the_format_as_the_parse_does(capsys, formats, fmt, ca
     assert out == "" and err.endswith(f"grepunit verify: error: {message}\n")
 
 
-# every help text, and calls whose first argument is no subcommand or whose
-# usage error names one; the usage errors include [] and ["frobnicate"]
-PARITY_ARGVS = [
-    ["--help"], ["--version"], ["report", "--help"], ["verify", "--help"], ["sweep", "--help"],
-    ["--", "verify", "-a", "1", "-b", "7", "-n", "6"],
-    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus"],
-    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus", "--format", "json"],
-    *USAGE_ERROR_ARGVS,
-    *(argv for argv, _ in FOUND_WHILE_PARSING),
-    # the benchmark's seed-0 calls
+# the benchmark's seed-0 calls
+SEED0_ARGVS = [
     ["sweep", "--a", "1..60", "--b", "2..5", "--n", "2..5", "--checks", "frobenius,genus,pf", "--format", "json"],
     ["verify", "-a", "1", "-b", "7", "-n", "6", "--checks", "frobenius,genus,pf"],
     ["sweep", "--a", "1..60", "--b", "2..4", "--n", "2..4", "--checks", "all", "--format", "json"],
+]
+# every help text, and calls whose first argument is no subcommand, whose
+# usage error names one, or that leave arguments over (which the full tree
+# reports); the usage errors include [] and ["frobnicate"]
+PARITY_ARGVS = [
+    ["--help"], ["--version"], ["report", "--help"], ["verify", "--help"], ["sweep", "--help"],
+    ["--", "verify", "-a", "1", "-b", "7", "-n", "6"],
+    ["report", "-a", "1", "-b", "2", "-n", "3", "--bogus"],
+    ["report", "-a", "1", "-b", "2", "-n", "3", "--bogus", "--format", "json"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--bogus", "--format", "json"],
+    ["sweep", "--a", "1", "--b", "2", "--n", "2", "--bogus"],
+    ["sweep", "--a", "1", "--b", "2", "--n", "2", "--bogus", "--format", "json"],
+    ["sweep", "--bogus"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "stray"],
+    ["report", "-a", "1", "-b", "2", "-n", "3", "--version"],
+    ["verify", "--", "-a", "1"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--", "--format", "json"],
+    ["verify", "-a", "1", "-b", "7", "-n", "6", "--"],
+    *USAGE_ERROR_ARGVS,
+    *(argv for argv, _ in FOUND_WHILE_PARSING),
+    *SEED0_ARGVS,
 ]
 
 
@@ -439,38 +454,57 @@ def cli_outcome(capsys, argv):
 def test_parser_of_the_invoked_subcommand_writes_what_the_full_one_does(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     outcome = cli_outcome(capsys, argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    # the reference: the full tree parses the whole argv, and a named
+    # subcommand's parser hands `main` what it parsed, with nothing left over
+    tree = cli.build_parser()
+    whole = SimpleNamespace(parse_known_args=lambda rest: (tree.parse_args(argv), []))
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole if command in cli.SUBCOMMANDS else tree)
     assert outcome == cli_outcome(capsys, argv)
 
 
 def option_strings(parser):
-    """Each subcommand's option strings, sorted."""
+    """A parser's option strings, in definition order."""
+    return [s for a in parser._actions for s in a.option_strings]
+
+
+def subparsers(parser):
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
+    return sub.choices
 
 
 def test_only_the_invoked_subcommand_gets_its_options(capsys, monkeypatch):
-    shared = ["--cap", "--format", "--help", "--out", "-h"]
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = ["--cap", "--out", "--format"]
     full = {
-        "report": sorted(shared + ["-a", "-b", "-n", "--source"]),
-        "verify": sorted(shared + ["-a", "-b", "-n", "--checks"]),
-        "sweep": sorted(shared + ["--a", "--b", "--n", "--checks", "--no-skip-invalid"]),
+        "report": ["-h", "--help", "-a", "-b", "-n", "--source", *shared],
+        "verify": ["-h", "--help", "-a", "-b", "-n", "--checks", *shared],
+        "sweep": ["-h", "--help", "--a", "--b", "--n", "--checks", "--no-skip-invalid", *shared],
     }
-    assert option_strings(cli.build_parser()) == full
-    assert option_strings(cli.build_parser("frobnicate")) == full
-    assert option_strings(cli.build_parser("verify")) == {
-        "report": ["--help", "-h"], "verify": full["verify"], "sweep": ["--help", "-h"],
-    }
-    asked = []
-    real = cli.build_parser
+    for tree in (cli.build_parser(), cli.build_parser("frobnicate")):
+        assert (tree.prog, option_strings(tree)) == ("grepunit", ["-h", "--help", "--version"])
+        assert {name: option_strings(p) for name, p in subparsers(tree).items()} == full
+    for name, p in subparsers(cli.build_parser()).items():
+        lone = cli.build_parser(name)
+        assert option_strings(lone) == full[name]
+        assert (lone.format_usage(), lone.format_help()) == (p.format_usage(), p.format_help())
+    built, asked = [], []
+    init, real = cli.Parser.__init__, cli.build_parser
+    monkeypatch.setattr(cli.Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
     monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or real(command))
-    argv = ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "frobenius"]
-    assert run_cli(capsys, *argv)[0] == EXIT_OK
-    assert main(iter(argv)) == EXIT_OK  # any iterable, read once
-    monkeypatch.setattr(sys, "argv", ["grepunit", *argv])
-    assert main() == EXIT_OK
-    assert asked == ["verify", "verify", "verify"]
+    # a named subcommand's run builds its lone parser alone
+    for argv in [["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "frobenius"], *SEED0_ARGVS]:
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert main(iter(argv)) == EXIT_OK  # any iterable, read once
+        monkeypatch.setattr(sys, "argv", ["grepunit", *argv])
+        assert main() == EXIT_OK
+        capsys.readouterr()
+        assert (built, asked) == ([f"grepunit {argv[0]}"] * 3, [argv[0]] * 3)
+        built.clear()
+        asked.clear()
+    # leftovers: the lone parser, then the full tree on the whole argv
+    assert cli_outcome(capsys, ["verify", "-a", "1", "-b", "2", "-n", "3", "--bogus"])[0] == EXIT_USAGE
+    assert built == ["grepunit verify", "grepunit", "grepunit report", "grepunit verify", "grepunit sweep"]
+    assert asked == ["verify", None]
 
 
 def test_sweep_json_validates_and_matches(capsys):
