@@ -454,6 +454,11 @@ def test_pseudo_frobenius_known_values():
     assert pf(7, 8, 10) == [13, 19]
     assert pf(3, 8) == [13]
     assert pf(6, 9, 20) == [43]  # symmetric, type 1
+    # <m, m + 1, ..., 2m - 1> has 1..m - 1: more maximal Apéry elements
+    # than the top-down read takes, by the round-robin and the window route
+    for m in (100, 300):
+        assert m - 1 > oracle._TOP_READS
+        assert pf(*range(m, 2 * m)) == list(range(1, m))
 
 
 def test_apery_set_that_keeps_sum_and_maximum_still_disagrees_with_the_sieve(monkeypatch):
@@ -493,11 +498,15 @@ def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
         ((1,), 0, "[-1] vs [0]"),
         # the member 24 made a gap above F = 19: 24 passes the definition
         ((7, 8, 10), 24, "[13, 19] vs [13, 19, 24]"),
+        # the gaps 1 and 3 made members: x = -7, the frame's lower edge,
+        # passes the definition, as -7 + 7 = 0, -7 + 8 = 1 and -7 + 10 = 3
+        ((7, 8, 10), (1, 3), "[13, 19] vs [-7, 13, 19]"),
     ],
 )
 def test_pseudo_frobenius_routes_disagree_on_a_flipped_sieve_bit(gens, planted, note):
     inv = oracle.basic_invariants(sg(*gens))
-    flipped = inv._replace(sieve=inv.sieve ^ 1 << planted)
+    bits = planted if isinstance(planted, tuple) else (planted,)
+    flipped = inv._replace(sieve=inv.sieve ^ sum(1 << k for k in bits))
     with pytest.raises(RouteDisagreementError) as exc_info:
         oracle.pseudo_frobenius(flipped)
     assert str(exc_info.value) == f"pseudo-Frobenius routes disagree: {note}"
@@ -523,7 +532,15 @@ def test_pseudo_frobenius_disagreement_survives_optimized_mode():
     assert "RouteDisagreementError: pseudo-Frobenius routes disagree: [13, 19] vs [6, 19]" in proc.stderr
 
 
-@pytest.mark.parametrize("gens", [(1000, 1001), (1000, 1001, 1013), (3000, 3001, 3007)])
+@pytest.mark.parametrize(
+    "gens",
+    [
+        (1000, 1001),
+        (1000, 1001, 1013),
+        (3000, 3001, 3007),
+        (19608, 19609, 19616, 19665, 20008, 22409),  # S_1(7, 6), the large-m workload's
+    ],
+)
 def test_pseudo_frobenius_holds_one_route_at_a_time(gens):
     # each route, read out included, is done before the next starts, so
     # the peak stays near four masks of the sieve's width beyond the
