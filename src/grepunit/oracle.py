@@ -159,21 +159,21 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-# `_top_down_bits` reads at most _TOP_READS bits, a whole-width pass each,
-# of a mask at most TOP_DOWN_MAX_BITS wide, past which each pass gets fresh
-# pages: on the family's maximal masks (Python 3.11, median of 7) it took 0.4-0.8x
-# `_set_bits`' time up to 2.0e8 bits, 1.0x at 2.15e8, 1.35-1.85x at 3.1-7.3e8.
-_TOP_READS = 64
-TOP_DOWN_MAX_BITS = 2 * 10**8
+# `_top_down_bits` reads a mask at most this wide, a whole-width pass per set bit: on the
+# family's maximal masks (n - 1 set; Python 3.11, median of 9) 0.23-0.98x `_set_bits`' time up to
+# 10^7 bits, 0.69-1.7x past it, 1.24x and up for b = 2 (18-22 set); workloads stay < 10^6 bits.
+TOP_DOWN_MAX_BITS = 10**7
 
 
 def _top_down_bits(mask: int) -> list[int]:
-    """`_set_bits(mask)`, its top bits read by bit_length, each cleared by a pass."""
+    """`_set_bits(mask)`, read by bit_length, each bit cleared by a pass."""
+    if mask.bit_length() > TOP_DOWN_MAX_BITS:
+        return _set_bits(mask)
     top = []
-    while mask and len(top) < _TOP_READS and mask.bit_length() <= TOP_DOWN_MAX_BITS:
+    while mask:
         top.append(mask.bit_length() - 1)
         mask ^= 1 << top[-1]
-    return _set_bits(mask) + top[::-1]
+    return top[::-1]
 
 
 # Multiplicity from which `sieve` builds its mask in windows rather than

@@ -454,10 +454,9 @@ def test_pseudo_frobenius_known_values():
     assert pf(7, 8, 10) == [13, 19]
     assert pf(3, 8) == [13]
     assert pf(6, 9, 20) == [43]  # symmetric, type 1
-    # <m, m + 1, ..., 2m - 1> has 1..m - 1: more maximal Apéry elements
-    # than the top-down read takes, by the round-robin and the window route
+    # <m, m + 1, ..., 2m - 1> has 1..m - 1: a dense maximal Apéry mask,
+    # by the round-robin and the window route
     for m in (100, 300):
-        assert m - 1 > oracle._TOP_READS
         assert pf(*range(m, 2 * m)) == list(range(1, m))
 
 
@@ -492,12 +491,12 @@ def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
     "gens, planted, note",
     [
         # the gap 13 made a member: 13 fails the definition and 6 (6 + 7 = 13, 14, 16) passes it
-        ((7, 8, 10), 13, "[13, 19] vs [6, 19]"),
+        ((7, 8, 10), (13,), "[13, 19] vs [6, 19]"),
         # 0 made a gap of <1> = N: -1 fails the definition, and 0, above
         # F = -1, passes it
-        ((1,), 0, "[-1] vs [0]"),
+        ((1,), (0,), "[-1] vs [0]"),
         # the member 24 made a gap above F = 19: 24 passes the definition
-        ((7, 8, 10), 24, "[13, 19] vs [13, 19, 24]"),
+        ((7, 8, 10), (24,), "[13, 19] vs [13, 19, 24]"),
         # the gaps 1 and 3 made members: x = -7, the frame's lower edge,
         # passes the definition, as -7 + 7 = 0, -7 + 8 = 1 and -7 + 10 = 3
         ((7, 8, 10), (1, 3), "[13, 19] vs [-7, 13, 19]"),
@@ -505,8 +504,7 @@ def test_pseudo_frobenius_routes_disagree_on_a_cleared_apery_bit():
 )
 def test_pseudo_frobenius_routes_disagree_on_a_flipped_sieve_bit(gens, planted, note):
     inv = oracle.basic_invariants(sg(*gens))
-    bits = planted if isinstance(planted, tuple) else (planted,)
-    flipped = inv._replace(sieve=inv.sieve ^ sum(1 << k for k in bits))
+    flipped = inv._replace(sieve=inv.sieve ^ sum(1 << k for k in planted))
     with pytest.raises(RouteDisagreementError) as exc_info:
         oracle.pseudo_frobenius(flipped)
     assert str(exc_info.value) == f"pseudo-Frobenius routes disagree: {note}"
