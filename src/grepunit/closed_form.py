@@ -44,7 +44,7 @@ def coefficient_tuples(b: int, i: int, cap: int | None = DEFAULT_APERY_CAP) -> l
     if b < 2:
         raise InvalidBaseError(b)
     if i < 2:
-        raise ValueError(f"need i >= 2, got {i}")
+        raise ValueError(f"need i >= 2, got {int_text(i)}")
     count = repunit(b, i)
     check_cap(count, cap)
 
@@ -126,7 +126,7 @@ def apery_sum_coefficients(b: int, n: int) -> list[int]:
     if b < 2:
         raise InvalidBaseError(b)
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValueError(f"need n >= 2, got {int_text(n)}")
     top, power, coeffs = b**n, b, []
     for _ in range(n - 1):  # j = n down to 2, with power = b**(n-j+1)
         numerator = top + power
@@ -193,7 +193,7 @@ def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_
         raise UnsupportedDimensionError(f"smaller triple invalid: {exc}") from exc
     check_cap(params.multiplicity, cap)
     shift = params.b ** (params.n - 1)
-    base = apery_set(prev, cap=cap)
+    base = apery_set(prev, cap=None)  # prev's multiplicity is below the one just checked
     groups = [[v + step for v in group] for step, group in zip(range(0, len(base) * shift, shift), base)]
     groups = _extend(groups, params.generators()[-1], params.b)
     return _residue_system(params.multiplicity, groups)

@@ -213,20 +213,16 @@ def apery_set(sg: GenericSemigroup, q: int) -> list[int]:
     the least member of a class is its Apéry element.
     """
     if q <= 0:
-        raise ValueError(f"need a positive element, got {q}")
+        raise ValueError(f"need a positive element, got {int_text(q)}")
     if q not in sg.gens and not _closure(sg.gens, q) >> q & 1:  # a generator needs no closure
         raise ValueError(f"{int_text(q)} is not an element of the semigroup {_gens_text(sg.gens)}")
     unreached = q * sum(sg.gens) + 1  # above every sum the walk below forms
     best = [unreached] * q
     best[0] = 0
-    folds = [(g, math.gcd(g, q)) for g in sg.gens if g % q]  # a multiple of q adds nothing
-    if folds:
-        # only class 0 is reached before the first fold, so the multiples
-        # of g fill its cycle with nothing to compare against
-        g, d = folds[0]
-        for v in range(g, q // d * g, g):
-            best[v % q] = v
-    for g, d in folds[1:]:
+    for g in sg.gens:
+        d = math.gcd(g, q)
+        if d == q:  # a multiple of q adds nothing
+            continue
         for start in range(d):
             v = min(best[start::d]) if start else 0  # 0 is the least of its cycle
             if v == unreached:
@@ -344,16 +340,6 @@ class SemigroupInvariants(NamedTuple):
         return f"SemigroupInvariants({fields})"
 
 
-def check_multiplicity(m: int, sieve_cap: int = DEFAULT_SIEVE_CAP) -> None:
-    """Refuse a multiplicity m whose sieve would exceed the cap: the
-    sieve bound is at least 2m - 1."""
-    if 2 * m > sieve_cap:
-        raise CapacityError(
-            f"multiplicity {int_text(m)} needs a sieve bound of at least {int_text(2 * m - 1)}, "
-            f"which exceeds capacity cap {int_text(sieve_cap)}"
-        )
-
-
 def basic_invariants(
     sg: GenericSemigroup, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> SemigroupInvariants:
@@ -366,12 +352,16 @@ def basic_invariants(
     Math. 293/294, 1977), and from `apery_set` below that, with g from
     the Apéry sum.  The sieve bound max(Apéry) + max generator covers
     every gap and every Apéry element, so both computations are complete.
-    A multiplicity whose sieve cannot fit (`check_multiplicity`) is
-    refused before the Apéry set is built, and a sieve bound that the
-    windows prove too large as soon as they give up.
+    A multiplicity whose sieve cannot fit is refused before the Apéry set
+    is built, and a sieve bound that the windows prove too large as soon
+    as they give up.
     """
     m = sg.multiplicity
-    check_multiplicity(m, sieve_cap)
+    if 2 * m > sieve_cap:  # the sieve bound is at least 2m - 1
+        raise CapacityError(
+            f"multiplicity {int_text(m)} needs a sieve bound of at least {int_text(2 * m - 1)}, "
+            f"which exceeds capacity cap {int_text(sieve_cap)}"
+        )
     if m >= APERY_WINDOW_MIN:
         top_cap = sieve_cap - 1 - max(sg.gens)  # the sieve admits bounds up to sieve_cap - 1
         windows = apery_windows(sg, top_cap)
@@ -486,31 +476,21 @@ def apery_levels(inv: SemigroupInvariants) -> Iterator[int]:
 
 
 class WilfData(NamedTuple):
-    """Wilf-inequality report: F <= e*n(S) - 1, plus the sharper bound
-    F <= (t+1)*n(S) - 1 with t the type and e the embedding dimension,
-    the size of the minimal generating set."""
+    """Wilf-inequality report: the minimal generating set, whose size is
+    the embedding dimension e, whether F <= e*n(S) - 1, and whether the
+    sharper bound F <= (t+1)*n(S) - 1 holds, t the type."""
 
-    frobenius: int
     minimal_generators: tuple[int, ...]
-    type: int
-    n_below: int
     wilf_ok: bool
     type_bound_ok: bool
-
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.minimal_generators)
 
 
 def wilf_data(inv: SemigroupInvariants, pf: Sequence[int]) -> WilfData:
     """Wilf and type bounds from `inv`'s sieve and pseudo-Frobenius numbers `pf`."""
     gens = tuple(minimal_generators(inv))
-    e, t = len(gens), len(pf)
+    f, n_below = inv.frobenius, inv.n_below
     return WilfData(
-        frobenius=inv.frobenius,
         minimal_generators=gens,
-        type=t,
-        n_below=inv.n_below,
-        wilf_ok=inv.frobenius <= e * inv.n_below - 1,
-        type_bound_ok=inv.frobenius <= (t + 1) * inv.n_below - 1,
+        wilf_ok=f <= len(gens) * n_below - 1,
+        type_bound_ok=f <= (len(pf) + 1) * n_below - 1,
     )

@@ -24,6 +24,7 @@ from .errors import (
     InvalidParametersError,
     RouteDisagreementError,
     UnsupportedDimensionError,
+    int_text,
 )
 
 STATUS_MATCH = "match"
@@ -283,11 +284,11 @@ class SweepSpec(NamedTuple("SweepSpec", [
         a_range, b_range, n_range, checks = map(tuple, (a_range, b_range, n_range, checks))
         for name, (lo, hi) in (("a", a_range), ("b", b_range), ("n", n_range)):
             if lo > hi:
-                raise ValueError(f"empty {name} range {lo}..{hi}")
+                raise ValueError(f"empty {name} range {int_text(lo)}..{int_text(hi)}")
         if b_range[0] < 2:
-            raise ValueError(f"b range must start at 2 or above, got {b_range[0]}")
+            raise ValueError(f"b range must start at 2 or above, got {int_text(b_range[0])}")
         if n_range[0] < 2:
-            raise ValueError(f"n range must start at 2 or above, got {n_range[0]}")
+            raise ValueError(f"n range must start at 2 or above, got {int_text(n_range[0])}")
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")

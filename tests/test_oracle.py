@@ -96,6 +96,8 @@ def test_apery_set_modulo_other_members():
     assert oracle.apery_set(sg(4, 6, 9), 6) == [0, 13, 8, 9, 4, 17]
     # 10 = 4 + 6 is no generator; 4 and 6 both share 2 with it
     assert oracle.apery_set(sg(4, 6, 9), 10) == [0, 21, 12, 13, 4, 15, 6, 17, 8, 9]
+    # 12 is no generator, and 4, 6 and 9 each share a different factor (4, 6, 3) with it
+    assert oracle.apery_set(sg(4, 6, 9), 12) == [0, 13, 14, 15, 4, 17, 6, 19, 8, 9, 10, 23]
 
 
 def test_apery_needs_member_modulus():
@@ -589,11 +591,12 @@ def test_apery_lengths_refuse_an_element_no_generator_reaches():
 
 def test_wilf_data_known_semigroup():
     inv = oracle.basic_invariants(sg(7, 8, 10))
-    data = oracle.wilf_data(inv, oracle.pseudo_frobenius(inv))
-    assert data.frobenius == 19
-    assert data.embedding_dimension == 3
-    assert data.type == 2
-    assert data.n_below == 9
+    pfs = oracle.pseudo_frobenius(inv)
+    data = oracle.wilf_data(inv, pfs)
+    assert inv.frobenius == 19
+    assert len(data.minimal_generators) == 3
+    assert len(pfs) == 2
+    assert inv.n_below == 9
     assert data.wilf_ok  # 19 <= 3*9 - 1
     assert data.type_bound_ok  # 19 <= 3*9 - 1
 
@@ -610,7 +613,7 @@ def test_wilf_data_bounds_can_fail():
     # 15 = 7 + 8 is redundant, so e = 3 and 19 > 3*6 - 1 (with e = 4, 19 <= 4*6 - 1)
     inv = oracle.basic_invariants(sg(7, 8, 10, 15))
     data = oracle.wilf_data(inv._replace(n_below=6), oracle.pseudo_frobenius(inv))
-    assert data.embedding_dimension == 3
+    assert len(data.minimal_generators) == 3
     assert not data.wilf_ok
 
 

@@ -377,6 +377,14 @@ def test_notes_on_huge_values_format_under_the_digit_limit(default_digit_limit, 
          lambda: oracle.apery_set(oracle.GenericSemigroup((big, big + 1)), 5)),
         (ValueError, "^repunit length must be >= 0, got -<int of 16610 bits>$", lambda: repunit(10, -big)),
         (ValueError, "^generator index must be >= 1, got -<int of 16610 bits>$", lambda: huge.generator(-big)),
+        (ValueError, "^need a positive element, got -<int of 16610 bits>$", lambda: oracle.apery_set(gap, -big)),
+        (ValueError, "^need i >= 2, got -<int of 16610 bits>$", lambda: closed_form.coefficient_tuples(10, -big)),
+        (ValueError, "^need n >= 2, got -<int of 16610 bits>$", lambda: closed_form.apery_sum_coefficients(10, -big)),
+        (ValueError, r"^empty a range <int of 16610 bits>\.\.1$", lambda: SweepSpec((big, 1), (2, 2), (2, 2))),
+        (ValueError, "^b range must start at 2 or above, got -<int of 16610 bits>$",
+         lambda: SweepSpec((1, 1), (-big, 2), (2, 2))),
+        (ValueError, "^n range must start at 2 or above, got -<int of 16610 bits>$",
+         lambda: SweepSpec((1, 1), (2, 2), (-big, 2))),
     ]
     for error, note, call in refusals:
         with pytest.raises(error, match=note):
