@@ -253,28 +253,38 @@ def maximal_minors(matrix: tuple[tuple[int, ...], ...]) -> list[int]:
     values recover the generators (signs alternate), and their gcd is 1
     exactly when the parameters are valid.
 
-    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    n x (2n-1) matrix [A^T | I] gives them all: once the n - 1 columns of
-    A^T are cleared, entry j (from 0) of the last row's identity block is
-    sign * det([A^T | e_j]), sign the parity of the row swaps, and that
-    determinant, expanded along its last column, is (-1)**(n-1+j) *
-    minor_j.  A column with no pivot means rank A < n - 1: all minors 0.
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) on a copy of A,
+    columns left to right: at pivot p in column c, each row with q = row[c]
+    != 0 becomes (p*row - q*pivot row) // div, div its last pivot, exactly,
+    in the columns right of c and in the free column f, which has no pivot
+    (a second one means rank < n - 1: all minors 0).  With D the last pivot
+    and sign the swaps' parity, minor_f = sign*D, and by Cramer's rule the
+    row of pivot column c has row[f]*D/div = sign*(-1)**(|c-f|-1)*minor_c.
     """
-    n = len(matrix) + 1
-    m = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(zip(*matrix))]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return [0] * n
-        if pivot != k:
-            m[k], m[pivot], sign = m[pivot], m[k], -sign
-        top, p = m[k], m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k]
-            m[r][k:] = [0] + [(x * p - f * t) // prev for x, t in zip(m[r][k + 1 :], top[k + 1 :])]
-        prev = p
-    return [sign * (-1) ** (n - 1 + j) * e for j, e in enumerate(m[-1][n - 1 :])]
+    rows, n = [list(row) for row in matrix], len(matrix) + 1
+    div = [1] * len(rows)  # a row with q = 0 would only be scaled by p/prev, so it waits
+    sign, prev, k, f = 1, 1, 0, None
+    for c in range(n):
+        for r in range(k, n - 1):
+            if rows[r][c]:
+                break
+        else:  # no pivot: the free column f; a second one leaves k < n - 1
+            f = c
+            continue
+        if r != k:
+            rows[k], rows[r], div[k], div[r], sign = rows[r], rows[k], div[r], div[k], -sign
+        top = rows[k] = rows[k] if div[k] == prev else [x * prev // div[k] for x in rows[k]]
+        p, cols = top[c], range(c + 1, n) if f is None else [f, *range(c + 1, n)]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if q and i != k:
+                d, div[i] = div[i], p
+                for x in cols:
+                    row[x] = (row[x] * p - q * top[x]) // d
+        div[k], prev, k = p, p, k + 1
+    pivots = (c for c in range(n) if c != f)
+    out = [sign * (-1) ** (abs(c - f) - 1) * row[f] * prev // d for c, row, d in zip(pivots, rows, div)]
+    return [*out[:f], sign * prev, *out[f:]] if k == n - 1 else [0] * n
 
 
 class InvariantReport(NamedTuple):

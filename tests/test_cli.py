@@ -313,6 +313,17 @@ def test_verify_capacity_exit_3(capsys):
     assert "skipped-capacity" in out
 
 
+def test_sweep_records_capacity_refusals_and_exits_0(capsys):
+    # a sweep goes on past a refused triple, where verify exits 3
+    code, out, _ = run_cli(capsys, "sweep", "--a", "1..2", "--b", "2", "--n", "2", "--checks", "pf", "--cap", "1")
+    assert code == EXIT_OK
+    assert out.count("skipped-capacity  ") == 2
+    assert "summary: 0 match, 0 mismatch, 2 skipped-capacity," in out
+    code, out, _ = run_cli(capsys, "verify", "-a", "1", "-b", "2", "-n", "2", "--checks", "pf", "--cap", "1")
+    assert code == EXIT_CAPACITY
+    assert out.count("skipped-capacity  ") == 1
+
+
 USAGE_ERROR_ARGVS = (
     ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "nope"],
     ["verify", "-a", "1", "-b", "2", "-n", "3", "--checks", "all,bogus"],

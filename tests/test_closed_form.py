@@ -474,6 +474,12 @@ def test_maximal_minors_small_matrices():
     assert closed_form.maximal_minors(((0, 1, 4), (1, 0, 2))) == [2, -4, -1]
     assert closed_form.maximal_minors(((5, 7),)) == [7, 5]
     assert closed_form.maximal_minors(((1, 2, 3), (2, 4, 6))) == [0, 0, 0]  # rank 1
+    # the free column 2 is met before the last pivot, and is brought along after it
+    assert closed_form.maximal_minors(((0, 3, 0, 0), (0, -2, 0, -2), (3, 0, -4, 2))) == [-24, 0, -18, 0]
+    assert closed_form.maximal_minors(((0, 1, 2), (0, 3, 4))) == [-2, 0, 0]  # the free column is 0
+    rows = [[0, 1, 4], [1, 0, 2]]
+    assert closed_form.maximal_minors(rows) == [2, -4, -1]
+    assert rows == [[0, 1, 4], [1, 0, 2]]  # the input rows are left as they were
 
 
 def laplace_det(m) -> int:
@@ -490,7 +496,7 @@ def test_maximal_minors_match_cofactor_expansion():
     # seeded random (n-1) x n matrices, n = 2..7, with many zero entries;
     # every fourth has a row that is the sum of two others, so rank < n - 1
     rng = random.Random(20260420)
-    swaps = deficient = 0
+    swaps = deficient = early = 0
     for t in range(2400):
         n = rng.randint(2, 7)
         rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n - 1)]
@@ -500,7 +506,8 @@ def test_maximal_minors_match_cofactor_expansion():
         assert closed_form.maximal_minors(tuple(map(tuple, rows))) == expected, rows
         swaps += rows[0][0] == 0 and any(expected)
         deficient += not any(expected)
-    assert swaps > 200 and deficient > 200
+        early += any(expected) and expected[-1] == 0  # the last nonzero minor is not the last one
+    assert swaps > 200 and deficient > 200 and early > 200
 
 
 def test_lattice_minors_at_n_128():
