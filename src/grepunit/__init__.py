@@ -14,7 +14,6 @@ from .closed_form import (
     apery_set,
     apery_set_recursive,
     apery_sum,
-    apery_sum_coefficients,
     coefficient_tuples,
     frobenius,
     genus,
@@ -59,7 +58,6 @@ __all__ = [
     "apery_set",
     "apery_set_recursive",
     "apery_sum",
-    "apery_sum_coefficients",
     "coefficient_tuples",
     "frobenius",
     "genus",

@@ -3,15 +3,16 @@ numerical semigroups.
 
 Every function here evaluates a formula or an explicit construction in
 O(n)-ish exact integer arithmetic, except the O(n^3) maximal minors and
-the Apéry enumerations, whose values, grouped by factorization length,
-number the multiplicity.  The brute-force engine in `oracle` recomputes the
-same invariants from definitions; `verify` pits the two against each other.
+the Apéry enumerations, whose values, grouped by factorization length as
+lists or as masks, number the multiplicity.  The brute-force engine in
+`oracle` recomputes the same invariants from definitions; `verify` pits the
+two against each other.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import NamedTuple
+from itertools import chain, product
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import GrepunitParams, repunit, validate
 from .errors import (
@@ -97,6 +98,86 @@ def apery_set(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> Ap
     return _residue_system(params.multiplicity, groups)
 
 
+class AperyLevels(NamedTuple):
+    """The closed Apéry set of a_1 by factorization length.  As masks, level
+    k holds bit v - k*step for each value v of length k, and `union` is the
+    set's mask; as lists, the groups of `apery_set`, with step 0 and no union."""
+
+    step: int
+    levels: tuple
+    union: int | None
+
+    def masks(self) -> Iterator[int]:
+        """Level k's mask, bit v for each value v of length k, one at a time."""
+        if self.union is None:
+            return (_mask_of(group, max(group, default=0)) for group in self.levels)
+        return (level << k * self.step for k, level in enumerate(self.levels))
+
+    def union_mask(self) -> int:
+        if self.union is None:
+            return _mask_of(chain.from_iterable(self.levels), max(chain.from_iterable(self.levels)))
+        return self.union
+
+    def values(self, read_bits: Callable[[int], list[int]]) -> list[int]:
+        """The values ascending: the groups' sorted, or the union's set bits by read_bits."""
+        return sorted(chain.from_iterable(self.levels)) if self.union is None else read_bits(self.union)
+
+
+def _mask_of(values, top: int) -> int:
+    """Bitmask with bit v set for each of the values, all in 0..top."""
+    packed = bytearray((top >> 3) + 1)
+    for v in values:
+        packed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _extend_masks(levels: list[int], step: int, gens: list[int], b: int) -> list[int]:
+    """`_extend` on masks, level k held less k*step, for each generator g:
+    level k also goes to level k + u shifted by u*(g - step), u = 1..b-1,
+    and b*g joins level b."""
+    for g in gens:
+        d, out = g - step, [0] * max(len(levels) + b - 1, b + 1)
+        for k, level in enumerate(levels):
+            for u in range(b):
+                out[k + u] |= level << u * d
+        out[b] |= 1 << b * d
+        levels = out
+    return levels
+
+
+def _residue_levels(m: int, step: int, levels: list[int]) -> AperyLevels:
+    """`_residue_system` on masks: the popcounts sum to m, and the OR of the
+    union's m-bit chunks, folded in halves, is all ones (so the union holds
+    m values in m classes), and level 0 is {0}."""
+    union = count = 0
+    for k, level in enumerate(levels):
+        union |= level << k * step
+        count += level.bit_count()
+    fold, full = union, (1 << m) - 1
+    while fold > full:  # the top half of the chunks onto the bottom half
+        half = (fold.bit_length() // m + 1) // 2 * m
+        fold = fold >> half | fold & (1 << half) - 1
+    if count != m or fold != full or levels[0] != 1:
+        raise RouteDisagreementError(f"{count} values, not a residue system mod {m} with 0")
+    return AperyLevels(step, tuple(levels), union)
+
+
+# The largest a at which the closed Apéry set is built as masks, not lists;
+# measured as SIEVE_WINDOW_MIN was, on the three Apéry rows (README table).
+APERY_MASK_MAX_A = 48
+
+
+def apery_levels(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperyLevels:
+    """`apery_set` as the rows compare it: up to a = APERY_MASK_MAX_A, the
+    construction on masks, level k held less k*a_2, where the shifts
+    u*(a_j - a_2) do not depend on m; above it, the lists."""
+    check_cap(params.multiplicity, cap)
+    if params.a > APERY_MASK_MAX_A:
+        return AperyLevels(0, apery_set(params, cap=None), None)
+    gens = params.generators()
+    return _residue_levels(params.multiplicity, gens[1], _extend_masks([1], gens[1], gens[1:], params.b))
+
+
 def frobenius(params: GrepunitParams) -> int:
     """Frobenius number, by formula.
 
@@ -120,26 +201,10 @@ def genus(params: GrepunitParams) -> int:
     return numerator // 2
 
 
-def apery_sum_coefficients(b: int, n: int) -> list[int]:
-    """Coefficients c_j = (b**n + b**(n-j+1)) / 2 for j = 2..n such that
-    the Apéry elements sum to c_2*a_2 + ... + c_n*a_n."""
-    if b < 2:
-        raise InvalidBaseError(b)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {int_text(n)}")
-    top, power, coeffs = b**n, b, []
-    for _ in range(n - 1):  # j = n down to 2, with power = b**(n-j+1)
-        numerator = top + power
-        if numerator % 2:
-            raise RouteDisagreementError("odd coefficient numerator indicates an arithmetic bug")
-        coeffs.append(numerator // 2)
-        power *= b
-    return coeffs[::-1]
-
-
 def apery_sum(params: GrepunitParams) -> int:
-    """Sum of the Apéry set, without enumerating it: sum(c_j * a_j), with the
-    `apery_sum_coefficients`, as (b**n * sum(a_j) + sum(b**(n-j+1) * a_j)) / 2."""
+    """Sum of the Apéry set, without enumerating it: sum(c_j * a_j), with
+    c_j = (b**n + b**(n-j+1)) / 2 for j = 2..n, as
+    (b**n * sum(a_j) + sum(b**(n-j+1) * a_j)) / 2."""
     b, gens, horner = params.b, params.generators()[1:], 0
     for g in gens:  # j = 2..n, by Horner's rule: horner ends as sum(b**(n-j+1) * a_j)
         horner = (horner + g) * b
@@ -175,6 +240,15 @@ def apery_maximals(params: GrepunitParams) -> list[int]:
     return out[::-1]
 
 
+def _smaller(params: GrepunitParams) -> GrepunitParams:
+    if params.n < 3:
+        raise UnsupportedDimensionError("recursive construction needs n >= 3")
+    try:
+        return validate(params.a, params.b, params.n - 1)
+    except InvalidParametersError as exc:
+        raise UnsupportedDimensionError(f"smaller triple invalid: {exc}") from exc
+
+
 def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperySet:
     """Apéry set of (a, b, n) lifted from the Apéry set of (a, b, n-1), in
     the groups and order of `apery_set`.
@@ -185,18 +259,27 @@ def apery_set_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_
     raises UnsupportedDimensionError, when n < 3 or when the smaller
     triple is not valid; there is no fallback to direct enumeration.
     """
-    if params.n < 3:
-        raise UnsupportedDimensionError("recursive construction needs n >= 3")
-    try:
-        prev = validate(params.a, params.b, params.n - 1)
-    except InvalidParametersError as exc:
-        raise UnsupportedDimensionError(f"smaller triple invalid: {exc}") from exc
+    prev = _smaller(params)
     check_cap(params.multiplicity, cap)
     shift = params.b ** (params.n - 1)
     base = apery_set(prev, cap=None)  # prev's multiplicity is below the one just checked
     groups = [[v + step for v in group] for step, group in zip(range(0, len(base) * shift, shift), base)]
     groups = _extend(groups, params.generators()[-1], params.b)
     return _residue_system(params.multiplicity, groups)
+
+
+def apery_levels_recursive(params: GrepunitParams, cap: int | None = DEFAULT_APERY_CAP) -> AperyLevels:
+    """`apery_set_recursive` as `apery_levels`.  Level k of (a, b, n-1), held
+    less k*a_2(n-1), lifts by k*b**(n-1): it keeps its mask, held less
+    k*(a_2(n-1) + b**(n-1)), the frame that a_n extends and the union reads."""
+    if params.a > APERY_MASK_MAX_A:
+        return AperyLevels(0, apery_set_recursive(params, cap), None)
+    prev = _smaller(params)
+    check_cap(params.multiplicity, cap)
+    base = apery_levels(prev, cap=None)  # prev's multiplicity is below the one just checked
+    step = base.step + params.b ** (params.n - 1)
+    levels = _extend_masks(base.levels, step, params.generators()[-1:], params.b)
+    return _residue_levels(params.multiplicity, step, levels)
 
 
 def affine_closure_ok(params: GrepunitParams, members: int, f: int) -> bool:

@@ -13,7 +13,6 @@ deterministic.
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -85,7 +84,9 @@ def _digest(values: list[int]) -> dict:
         sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
     except ImportError:  # a build without it
         from hashlib import sha256
-    joined = ",".join(map(str, values)).encode()
+    # the values joined by commas, as the list's repr less its brackets and
+    # spaces, which holds no string per value: a join of m strings would
+    joined = str(values)[1:-1].replace(", ", ",").encode()
     return {
         "size": len(values),
         "sum": sum(values),
@@ -119,9 +120,9 @@ def oracle_report(
 
 class _Shared:
     """What the checks of one triple share: its oracle bundle, and the
-    closed-form Apéry set of a_1, grouped by length, and the digest of its
-    sorted values, both built on first use.  The bundle admits only 2m
-    within the cap, so the set needs no cap of its own."""
+    closed-form Apéry set of a_1 by factorization length and the digest of
+    its ascending values, both built on first use.  The bundle admits only
+    2m within the cap, so the set needs no cap of its own."""
 
     __slots__ = ("params", "bundle", "_apery", "_digest")
 
@@ -129,14 +130,14 @@ class _Shared:
         self.params, self.bundle = params, bundle
         self._apery = self._digest = None
 
-    def apery(self) -> closed_form.AperySet:
+    def apery(self) -> closed_form.AperyLevels:
         if self._apery is None:
-            self._apery = closed_form.apery_set(self.params, cap=None)
+            self._apery = closed_form.apery_levels(self.params, cap=None)
         return self._apery
 
     def digest(self) -> dict:
         if self._digest is None:
-            self._digest = _digest(sorted(chain.from_iterable(self.apery())))
+            self._digest = _digest(self.apery().values(oracle._set_bits))
         return self._digest
 
 
@@ -156,7 +157,7 @@ def _genus(params, shared):
 def _apery(params, shared):
     digest = shared.digest()
     apery_mask = shared.bundle.invariants.apery_mask
-    same = oracle._mask_of(chain.from_iterable(shared.apery()), digest["max"]) == apery_mask
+    same = shared.apery().union_mask() == apery_mask
     matched = same and closed_form.apery_sum(params) == digest["sum"]
     return digest, digest if same else _digest(oracle._set_bits(apery_mask)), matched
 
@@ -171,14 +172,13 @@ def _type(params, shared):
 
 def _homogeneous(params, shared):
     # The m closed values lie in distinct classes and each level lies in
-    # Ap(S, m), so level k equal to closed group k, for every k, makes the
+    # Ap(S, m), so level k equal to closed level k, for every k, makes the
     # closed set Ap(S, m) with one length per element.  A list, not all():
     # every level is read, so the oracle's reachability error reaches the row.
-    levels = oracle.apery_levels(shared.bundle.invariants)
-    result = all([
-        level == oracle._mask_of(group, max(group, default=0))
-        for level, group in zip_longest(levels, shared.apery(), fillvalue=())
-    ])
+    # Each closed level is made in the comparison, so no two are held at once.
+    closed = shared.apery().masks()
+    result = all([level == next(closed, -1) for level in oracle.apery_levels(shared.bundle.invariants)])
+    result = result and next(closed, None) is None
     return True, result, result
 
 
@@ -203,10 +203,10 @@ def _minors(params, shared):
 
 
 def _recursive(params, shared):
-    lifted = closed_form.apery_set_recursive(params, cap=None)
-    # both come in the same groups and order, so they compare as they are
+    lifted = closed_form.apery_levels_recursive(params, cap=None)
+    # both come in the same levels, order and frame, so they compare as they are
     same = lifted == shared.apery()
-    return shared.digest(), shared.digest() if same else _digest(sorted(chain.from_iterable(lifted))), same
+    return shared.digest(), shared.digest() if same else _digest(lifted.values(oracle._set_bits)), same
 
 
 def _affine(params, shared):

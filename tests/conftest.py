@@ -9,6 +9,11 @@ GRID_B = range(2, 6)
 GRID_N = range(2, 6)
 
 
+# above closed_form.APERY_MASK_MAX_A, so its closed Apéry set is built as
+# lists; its smaller triple (10007, 3, 3) is valid too
+LISTED = validate(10007, 3, 4)
+
+
 def grid_triples():
     """Full grid in sweep order, valid or not."""
     for b in GRID_B:
@@ -39,3 +44,12 @@ def length_masks(inv) -> list[int]:
         for w in oracle._set_bits(level):
             masks[w % m] |= 1 << k
     return masks
+
+
+def apery_sum_coefficients(b: int, n: int) -> list[int]:
+    """The paper's coefficients c_j = (b**n + b**(n-j+1)) / 2, j = 2..n, with
+    sum(Ap(S, a_1)) = c_2*a_2 + ... + c_n*a_n: the reference that
+    `closed_form.apery_sum`, one Horner pass, is tested against."""
+    numerators = [b**n + b ** (n - j + 1) for j in range(2, n + 1)]
+    assert not any(x % 2 for x in numerators)
+    return [x // 2 for x in numerators]

@@ -22,11 +22,14 @@ from grepunit.cli import EXIT_MISMATCH, main
 from grepunit.errors import (
     CapacityError,
     InvalidBaseError,
+    InvalidParametersError,
     NotCoprimeError,
     RouteDisagreementError,
     UnsupportedDimensionError,
 )
 from grepunit.verify import run_checks
+
+from conftest import LISTED, apery_sum_coefficients
 
 GOLDEN = validate(3, 3, 4)  # generators <40, 43, 52, 79>
 
@@ -146,21 +149,105 @@ def test_residue_check_keeps_zero_alone_in_group_zero():
 
 
 def colliding(params):
-    """Stand-in for params whose a_2 is a multiple of the multiplicity, so
-    every value the builder makes falls in residue class 0."""
-    gens = params.generators()
-    gens[1] = 2 * gens[0]
-    return SimpleNamespace(b=params.b, n=params.n, multiplicity=gens[0], generators=lambda: gens)
+    """Stand-in for params whose a_2, ..., a_n are multiples of the
+    multiplicity, so every value the builder makes falls in residue class 0."""
+    gens = [k * params.multiplicity for k in range(1, params.n + 1)]
+    return SimpleNamespace(a=params.a, b=params.b, n=params.n, multiplicity=gens[0], generators=lambda: gens)
 
 
-def test_broken_construction_is_a_mismatch_row(monkeypatch):
-    build = closed_form.apery_set
+@pytest.mark.parametrize("params, name", [(GOLDEN, "apery_levels"), (LISTED, "apery_set")])
+def test_broken_construction_is_a_mismatch_row(monkeypatch, params, name):
+    build = getattr(closed_form, name)
     with pytest.raises(RouteDisagreementError):
-        build(colliding(GOLDEN))
-    monkeypatch.setattr(closed_form, "apery_set", lambda params, cap: build(colliding(params), cap))
-    row = run_checks(GOLDEN, ("apery",))[0]
+        build(colliding(params))
+    monkeypatch.setattr(closed_form, name, lambda params, cap: build(colliding(params), cap))
+    row = run_checks(params, ("apery",))[0]
     assert (row.closed, row.oracle, row.status) == (None, None, "mismatch")
-    assert "not a residue system mod 40 with 0" in row.note
+    assert f"not a residue system mod {params.multiplicity} with 0" in row.note
+
+
+def test_residue_levels_accept_a_full_residue_system():
+    # {0, 7, 8} mod 3: level 1 held less 7, and less 4 in the other frame
+    assert closed_form._residue_levels(3, 7, [1, 0b11]) == (7, (1, 0b11), 0b110000001)
+    assert closed_form._residue_levels(3, 4, [1, 0b11000]).union == 0b110000001
+
+
+@pytest.mark.parametrize("m, step, levels", [
+    (3, 7, [1, 0b1001]),  # {0, 7, 10}: the class of 1 twice, of 2 never
+    (3, 7, [1, 0b1]),  # {0, 7}: one class missed
+    (3, 7, [1, 0b11, 0b1]),  # {0, 7, 8, 14}: one value too many
+    (3, 7, [0b1000, 0b11]),  # {3, 7, 8}: no 0
+    (3, 7, [0b10000001, 0b1]),  # {0, 7} in level 0, 8 in level 1: 0 not alone
+    (3, 4, [1, 0b11000, 0b1]),  # {0, 7, 8}, with 8 in levels 1 and 2
+    (4, 9, [1, 0b1, 0, 0]),  # {0, 9}: two of four classes, and empty levels
+])
+def test_residue_levels_reject_what_is_no_residue_system(m, step, levels):
+    with pytest.raises(RouteDisagreementError, match=f"not a residue system mod {m} with 0$"):
+        closed_form._residue_levels(m, step, levels)
+
+
+def test_dropped_residue_class_raises_in_every_mode():
+    # the lowest value of the top level dropped by the mask builder, with
+    # asserts compiled away and without
+    script = textwrap.dedent(
+        """
+        from grepunit import closed_form
+        from grepunit.arith import validate
+
+        real = closed_form._extend_masks
+
+        def dropped(*args):
+            *levels, top = real(*args)
+            return [*levels, top & top - 1]
+
+        closed_form._extend_masks = dropped
+        print(__debug__)
+        closed_form.apery_levels(validate(3, 3, 4))
+        """
+    )
+    src = str(Path(closed_form.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for mode, debug in (([], "True"), (["-O"], "False")):
+        proc = subprocess.run(
+            [sys.executable, *mode, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.strip() == debug
+        assert proc.returncode != 0
+        assert "RouteDisagreementError: 39 values, not a residue system mod 40 with 0" in proc.stderr
+
+
+def both_ways(monkeypatch, build, params):
+    """`build(params)`'s masks, union and values, by masks and by lists."""
+    out = []
+    for most in (params.a, params.a - 1):  # the rule picks masks, then lists
+        monkeypatch.setattr(closed_form, "APERY_MASK_MAX_A", most)
+        closed = build(params)
+        out.append(([*closed.masks()], closed.union_mask(), closed.values(oracle._set_bits)))
+    return out
+
+
+def test_level_masks_equal_the_lists(monkeypatch):
+    # every all-checks grid triple, and seeded random ones with m <= 10^4
+    # and a up to 10^4, on either side of the crossover
+    triples = [(a, b, n) for b in range(2, 5) for n in range(2, 5) for a in range(1, 61)]
+    rng = random.Random(36)
+    families = [(b, n) for b in range(2, 11) for n in range(2, 14) if repunit(b, n) <= 10**4]
+    while len(triples) < 540 + 40:
+        a, (b, n) = int(10 ** rng.uniform(0, 4)), rng.choice(families)
+        if math.gcd(a, repunit(b, n)) == 1:
+            triples.append((a, b, n))
+    sides = set()
+    for a, b, n in triples:
+        try:
+            p = validate(a, b, n)
+        except InvalidParametersError:
+            continue
+        sides.add(a > closed_form.APERY_MASK_MAX_A)
+        masks, lists = both_ways(monkeypatch, closed_form.apery_levels, p)
+        assert masks == lists, p
+        if n > 2 and math.gcd(a, repunit(b, n - 1)) == 1:
+            assert both_ways(monkeypatch, closed_form.apery_levels_recursive, p) == [masks, masks], p
+    assert sides == {False, True}
 
 
 def test_frobenius_golden_and_branches():
@@ -191,24 +278,20 @@ def test_two_generator_formulas():
 
 
 def test_apery_sum_coefficients_golden():
-    assert closed_form.apery_sum_coefficients(3, 4) == [54, 45, 42]
+    assert apery_sum_coefficients(3, 4) == [54, 45, 42]
     assert closed_form.apery_sum(GOLDEN) == 7980
 
 
 def test_apery_sum_smallest_cases():
     assert closed_form.apery_sum(validate(1, 2, 3)) == 98
-    assert sum(closed_form.apery_sum_coefficients(2, 2)) == 3
-    assert sum(closed_form.apery_sum_coefficients(2, 3)) == 11
-    with pytest.raises(InvalidBaseError):
-        closed_form.apery_sum_coefficients(1, 3)
-    with pytest.raises(ValueError, match="^need n >= 2, got 1$"):
-        closed_form.apery_sum_coefficients(2, 1)
+    assert sum(apery_sum_coefficients(2, 2)) == 3
+    assert sum(apery_sum_coefficients(2, 3)) == 11
 
 
 def test_length_sum_matches_enumeration():
     for b, i in ((2, 3), (3, 3), (4, 2), (2, 5)):
         tuples = closed_form.coefficient_tuples(b, i)
-        assert sum(closed_form.apery_sum_coefficients(b, i)) == sum(sum(t) for t in tuples)
+        assert sum(apery_sum_coefficients(b, i)) == sum(sum(t) for t in tuples)
 
 
 def test_apery_sum_matches_enumeration():
@@ -218,11 +301,7 @@ def test_apery_sum_matches_enumeration():
 
 
 def test_one_pass_sums_match_the_direct_formulas(grid):
-    # the paper's formulas as written, each term on its own
-    for b in range(2, 8):
-        for n in range(2, 12):
-            direct = [(b**n + b ** (n - j + 1)) // 2 for j in range(2, n + 1)]
-            assert closed_form.apery_sum_coefficients(b, n) == direct, (b, n)
+    # the paper's formula as written, each term on its own
     for p in grid:
         gens, b, n = p.generators(), p.b, p.n
         direct = [gens[i - 1] + (b - 1) * sum(gens[i - 1 :]) for i in range(2, n + 1)]
@@ -294,7 +373,7 @@ def test_report_catches_a_planted_fault_without_the_oracle(capsys, monkeypatch, 
 
 def test_apery_sum_is_the_coefficient_form(grid):
     for p in [*grid, *(validate(*t) for t in HUGE)]:
-        coeffs = closed_form.apery_sum_coefficients(p.b, p.n)
+        coeffs = apery_sum_coefficients(p.b, p.n)
         assert closed_form.apery_sum(p) == sum(c * g for c, g in zip(coeffs, p.generators()[1:])), p
 
 
@@ -340,17 +419,30 @@ def test_homogeneous_golden(monkeypatch):
     assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
 
 
-def test_homogeneous_compares_the_values_too(monkeypatch):
-    # one nonzero value moved up by m stays in its residue class and keeps
-    # its length, so only the value test can catch it
-    real = closed_form.apery_set
+def moved_up(real, params, cap):
+    # one nonzero value moved up by m, in its class and its length
+    zero, (first, *rest), *groups = real(params, cap)
+    return (zero, (first + params.multiplicity, *rest), *groups)
 
-    def moved(params, cap):
-        zero, (first, *rest), *groups = real(params, cap)
-        return (zero, (first + params.multiplicity, *rest), *groups)
 
-    monkeypatch.setattr(closed_form, "apery_set", moved)
-    assert run_checks(GOLDEN, ("homogeneous",))[0].status == "mismatch"
+def level_moved_up(real, params, cap):
+    # the least value of level 1, a_2, moved up by m, in its class and length
+    closed, m = real(params, cap), params.multiplicity
+    zero, first, *levels = closed.levels
+    return closed_form._residue_levels(m, closed.step, [zero, first ^ 1 | 1 << m, *levels])
+
+
+@pytest.mark.parametrize("params, name, fault", [
+    (GOLDEN, "apery_levels", level_moved_up),
+    (LISTED, "apery_set", moved_up),
+])
+def test_homogeneous_compares_the_values_too(monkeypatch, params, name, fault):
+    # a moved value stays in its residue class and keeps its length, so
+    # only the value test can catch it
+    real = getattr(closed_form, name)
+    assert run_checks(params, ("homogeneous",))[0].status == "match"
+    monkeypatch.setattr(closed_form, name, lambda params, cap: fault(real, params, cap))
+    assert run_checks(params, ("homogeneous",))[0].status == "mismatch"
 
 
 def member_table(params) -> tuple[int, int]:
@@ -359,20 +451,21 @@ def member_table(params) -> tuple[int, int]:
     return inv.sieve, inv.frobenius
 
 
-def test_run_checks_builds_the_closed_apery_set_once(monkeypatch):
+@pytest.mark.parametrize("params, name", [(GOLDEN, "apery_levels"), (LISTED, "apery_set")])
+def test_run_checks_builds_the_closed_apery_set_once(monkeypatch, params, name):
     built = []
-    real = closed_form.apery_set
+    real = getattr(closed_form, name)
 
     def counting(params, cap=closed_form.DEFAULT_APERY_CAP):
         built.append(params)
         return real(params, cap)
 
-    monkeypatch.setattr(closed_form, "apery_set", counting)
-    rows = run_checks(GOLDEN, ("apery", "homogeneous", "recursive"))
+    monkeypatch.setattr(closed_form, name, counting)
+    rows = run_checks(params, ("apery", "homogeneous", "recursive"))
     assert [r.status for r in rows] == ["match"] * 3
     # the recursive lift builds its smaller triple's set for itself
-    assert built == [GOLDEN, validate(3, 3, 3)]
-    groups = real(GOLDEN)
+    assert built == [params, validate(params.a, params.b, params.n - 1)]
+    groups = closed_form.apery_set(params)
     assert type(groups) is tuple and {type(group) for group in groups} == {tuple}
 
 

@@ -38,6 +38,8 @@ from grepunit.verify import (
     sweep,
 )
 
+from conftest import LISTED
+
 # off the acceptance grid: b <= 10, n <= 6, multiplicity r_b(n) <= 3000
 SHAPES = [(b, n) for b in range(2, 11) for n in range(2, 7) if repunit(b, n) <= 3000]
 F_MAX = 2 * 10**5  # keeps the affine check's walk up to F + 2m short
@@ -199,12 +201,8 @@ def test_empty_length_mask_is_a_mismatch_row(monkeypatch):
     assert row.note == "Apéry element 43 is no sum of the generators"
 
 
-def test_closed_length_past_the_top_level_is_a_mismatch_row(monkeypatch):
-    # one element's length raised past the top level leaves a closed
-    # group that no oracle level answers
-    monkeypatch.setattr(closed_form, "apery_set", functools.partial(one_length_off, closed_form.apery_set))
-    row = run_checks(validate(3, 3, 4), ("homogeneous",))[0]
-    assert (row.closed, row.oracle, row.status, row.note) == (True, False, STATUS_MISMATCH, "")
+def test_the_fault_triples_sit_on_either_side_of_the_crossover():
+    assert 3 <= closed_form.APERY_MASK_MAX_A < LISTED.a
 
 
 def same_sum_other_values(real, params, cap):
@@ -220,6 +218,48 @@ def one_length_off(real, params, cap):
     return (*groups, tuple(top), (last,))
 
 
+def _high(mask):
+    return 1 << mask.bit_length() - 1
+
+
+def same_sum_other_levels(real, params, cap):
+    # the largest values of the top two levels, one up by m and one down by
+    # m: the same residues, size and sum, each in its own level still
+    closed, m = real(params, cap=cap), params.multiplicity
+    *levels, below, top = closed.levels
+    below, top = below ^ _high(below) | _high(below) >> m, top ^ _high(top) | _high(top) << m
+    return closed_form._residue_levels(m, closed.step, [*levels, below, top])
+
+
+def one_level_off(real, params, cap):
+    # the largest value of the top level moved to a new level past it
+    closed = real(params, cap=cap)
+    *levels, top = closed.levels
+    moved = [*levels, top ^ _high(top), _high(top) >> closed.step]
+    return closed_form._residue_levels(params.multiplicity, closed.step, moved)
+
+
+def lifted_by_a_lower_power(real, params, cap):
+    # the lift of apery_levels_recursive, not called, with b**(n-2) for b**(n-1)
+    base = closed_form.apery_levels(validate(params.a, params.b, params.n - 1), cap=None)
+    step = base.step + params.b ** (params.n - 2)
+    levels = closed_form._extend_masks(base.levels, step, params.generators()[-1:], params.b)
+    return closed_form._residue_levels(params.multiplicity, step, levels)
+
+
+@pytest.mark.parametrize("triple, name, fault", [
+    ((3, 3, 4), "apery_levels", one_level_off),
+    (LISTED, "apery_set", one_length_off),
+])
+def test_closed_length_past_the_top_level_is_a_mismatch_row(monkeypatch, triple, name, fault):
+    # one element's length raised past the top level leaves a closed
+    # level that no oracle level answers
+    real = getattr(closed_form, name)
+    monkeypatch.setattr(closed_form, name, functools.partial(fault, real))
+    row = run_checks(validate(*triple), ("homogeneous",))[0]
+    assert (row.closed, row.oracle, row.status, row.note) == (True, False, STATUS_MISMATCH, "")
+
+
 def absolute_minors(real, matrix):
     return [abs(minor) for minor in real(matrix)]
 
@@ -229,33 +269,47 @@ def sum_off_by_one(real, params):
 
 
 @pytest.mark.parametrize(
-    "check, name, fault",
+    "triple, check, name, fault",
     [
-        ("apery", "apery_set", same_sum_other_values),
-        ("recursive", "apery_set_recursive", one_length_off),
-        ("minors", "maximal_minors", absolute_minors),
-        ("apery", "apery_sum", sum_off_by_one),
+        ((3, 3, 4), "apery", "apery_levels", same_sum_other_levels),
+        ((3, 3, 4), "recursive", "apery_levels_recursive", one_level_off),
+        ((3, 3, 4), "recursive", "apery_levels_recursive", lifted_by_a_lower_power),
+        (LISTED, "apery", "apery_set", same_sum_other_values),
+        (LISTED, "recursive", "apery_set_recursive", one_length_off),
+        ((3, 3, 4), "minors", "maximal_minors", absolute_minors),
+        ((3, 3, 4), "apery", "apery_sum", sum_off_by_one),
+        (LISTED, "apery", "apery_sum", sum_off_by_one),
     ],
 )
-def test_planted_closed_form_fault_is_a_mismatch_row(monkeypatch, check, name, fault):
+def test_planted_closed_form_fault_is_a_mismatch_row(monkeypatch, triple, check, name, fault):
     real = getattr(closed_form, name)
     monkeypatch.setattr(closed_form, name, functools.partial(fault, real))
-    row = run_checks(validate(3, 3, 4), (check,))[0]
+    row = run_checks(validate(*triple), (check,))[0]
     assert row.status == STATUS_MISMATCH
 
 
-def test_refused_bundle_spares_the_closed_apery_build(monkeypatch):
+def test_lift_by_a_lower_power_is_no_residue_system():
+    # the frame of b**(n-2) misplaces the lifted levels of (3, 3, 4)
+    with pytest.raises(RouteDisagreementError, match="not a residue system mod 40 with 0$"):
+        lifted_by_a_lower_power(None, validate(3, 3, 4), None)
+
+
+@pytest.mark.parametrize("triple, cap, note", [
+    ((3, 3, 4), 100, "sieve bound 470 exceeds capacity cap 100"),
+    (LISTED, 10**5, "sieve bound 520524 exceeds capacity cap 100000"),
+])
+def test_refused_bundle_spares_the_closed_apery_build(monkeypatch, triple, cap, note):
     def unbuilt(params, cap):
         pytest.fail("the closed-form Apéry set was built for a refused oracle bundle")
 
-    monkeypatch.setattr(closed_form, "apery_set", unbuilt)
-    rows = run_checks(validate(3, 3, 4), ("apery", "homogeneous", "recursive"), 100)
-    assert {(r.status, r.note) for r in rows} == {
-        (STATUS_SKIPPED_CAPACITY, "sieve bound 470 exceeds capacity cap 100")
-    }
+    for name in ("apery_levels", "apery_levels_recursive", "apery_set", "apery_set_recursive"):
+        monkeypatch.setattr(closed_form, name, unbuilt)
+    rows = run_checks(validate(*triple), ("apery", "homogeneous", "recursive"), cap)
+    assert {(r.status, r.note) for r in rows} == {(STATUS_SKIPPED_CAPACITY, note)}
 
 
-def test_run_checks_leaves_no_cyclic_garbage(monkeypatch):
+@pytest.mark.parametrize("triple, name", [((3, 3, 4), "apery_levels"), (LISTED, "apery_set")])
+def test_run_checks_leaves_no_cyclic_garbage(monkeypatch, triple, name):
     # a reference cycle through the per-triple memo would keep the
     # triple's tables alive until the cyclic collector ran; so would one
     # through a closed-form route disagreement, which reaches each row
@@ -263,7 +317,7 @@ def test_run_checks_leaves_no_cyclic_garbage(monkeypatch):
     def disagree(params, cap):
         raise RouteDisagreementError("closed Apéry set disagrees: planted")
 
-    p = validate(3, 3, 4)
+    p = validate(*triple)
     run_checks(p)
     gc.collect()
     gc.disable()
@@ -271,7 +325,7 @@ def test_run_checks_leaves_no_cyclic_garbage(monkeypatch):
         for cap in (oracle.DEFAULT_SIEVE_CAP, 100, 10):
             run_checks(p, cap=cap)
             assert gc.collect() == 0, cap
-        monkeypatch.setattr(closed_form, "apery_set", disagree)
+        monkeypatch.setattr(closed_form, name, disagree)
         rows = run_checks(p)
         assert gc.collect() == 0
     finally:
@@ -301,11 +355,12 @@ def test_apery_check_reports_digests():
     assert row.closed["max"] == 391
 
 
-def test_apery_and_recursive_share_one_digest_of_the_closed_set(monkeypatch):
+@pytest.mark.parametrize("triple", [(3, 3, 4), LISTED])
+def test_apery_and_recursive_share_one_digest_of_the_closed_set(monkeypatch, triple):
     digested = []
     real = verify._digest
     monkeypatch.setattr(verify, "_digest", lambda values: digested.append(list(values)) or real(values))
-    p = validate(3, 3, 4)
+    p = validate(*triple)
     rows = run_checks(p, ("apery", "recursive"))
     assert [r.status for r in rows] == [STATUS_MATCH, STATUS_MATCH]
     assert rows[0].closed == rows[0].oracle == rows[1].closed == rows[1].oracle
@@ -379,7 +434,6 @@ def test_notes_on_huge_values_format_under_the_digit_limit(default_digit_limit, 
         (ValueError, "^generator index must be >= 1, got -<int of 16610 bits>$", lambda: huge.generator(-big)),
         (ValueError, "^need a positive element, got -<int of 16610 bits>$", lambda: oracle.apery_set(gap, -big)),
         (ValueError, "^need i >= 2, got -<int of 16610 bits>$", lambda: closed_form.coefficient_tuples(10, -big)),
-        (ValueError, "^need n >= 2, got -<int of 16610 bits>$", lambda: closed_form.apery_sum_coefficients(10, -big)),
         (ValueError, r"^empty a range <int of 16610 bits>\.\.1$", lambda: SweepSpec((big, 1), (2, 2), (2, 2))),
         (ValueError, "^b range must start at 2 or above, got -<int of 16610 bits>$",
          lambda: SweepSpec((1, 1), (-big, 2), (2, 2))),
